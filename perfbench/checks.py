@@ -22,6 +22,10 @@ IN_FLIGHT_MEANS = 25
 # not exceed three bursts' worth of packets.
 QUEUE_RISE_BURSTS = 3
 BINOMIAL_SIGMAS = 5
+# assess_stability's defaults: stable means slope below SLOPE_EPS packets/frame
+# and final-decile mean within TAIL_FACTOR of the post-warm-up mean.
+SLOPE_EPS = 1e-4
+TAIL_FACTOR = 3.0
 
 
 def check_repeats(rounds: list[dict[str, dict]]) -> list[str]:
@@ -81,16 +85,36 @@ def check_saturation(rounds: list[dict[str, dict]], bandwidth: float, alpha: flo
     return bad
 
 
-def queue_rise(qs_traj, stride: int, warmup: int) -> float:
-    """Least-squares rise of the source queue over the post-warm-up window."""
+def queue_fit(qs_traj, stride: int, warmup: int) -> tuple[float, float, float, float]:
+    """Source queue over the post-warm-up window: (least-squares slope in
+    packets/frame, window in frames, mean, final-decile mean)."""
     q = np.asarray(qs_traj, dtype=np.float64)
     frames = np.arange(q.size, dtype=np.float64) * stride
     keep = frames >= warmup
     q, frames = q[keep], frames[keep]
     if q.size < 2:
-        return 0.0
-    slope = np.polyfit(frames, q, 1)[0]
-    return float(slope * (frames[-1] - frames[0]))
+        return 0.0, 0.0, 0.0, 0.0
+    x = frames - frames.mean()
+    slope = float(np.dot(x, q - q.mean()) / np.dot(x, x))
+    tail = float(q[-max(1, q.size // 10):].mean())
+    return slope, float(frames[-1] - frames[0]), float(q.mean()), tail
+
+
+def check_verdict(tag: str, s: dict) -> list[str]:
+    """The engine's stability verdict agrees with the benchmark's own fit."""
+    v = s["verdict"]
+    if v is None:
+        return [f"{tag}: no stability verdict"]
+    slope, window, mean, tail = queue_fit(s["qs_traj"], s["traj_stride"], s["warmup"])
+    stable = slope < SLOPE_EPS and tail <= TAIL_FACTOR * mean
+    bad = []
+    if v["window_frames"] != window or not math.isclose(v["slope"], slope, rel_tol=1e-6,
+                                                          abs_tol=1e-12):
+        bad.append(f"{tag}: verdict slope {v['slope']:.6g} over {v['window_frames']} frames, "
+                   f"own fit {slope:.6g} over {window:.0f}")
+    if v["stable"] != stable:
+        bad.append(f"{tag}: verdict stable={v['stable']}, own fit says {stable}")
+    return bad
 
 
 def check_bursty(rounds: list[dict[str, dict]], batch: int, burst_prob: float) -> list[str]:
@@ -101,6 +125,8 @@ def check_bursty(rounds: list[dict[str, dict]], batch: int, burst_prob: float) -
             bad.append(f"round {r}: arrivals differ across protocols {arrivals}")
         for p, s in by_proto.items():
             tag = f"round {r} {p}"
+            if not s["conservation_ok"]:
+                bad.append(f"{tag}: packet conservation failed")
             a = s["arrivals"]
             if a % batch:
                 bad.append(f"{tag}: {a} arrivals is not a multiple of {batch}")
@@ -116,9 +142,11 @@ def check_bursty(rounds: list[dict[str, dict]], batch: int, burst_prob: float) -
             pct = (s["delay_p50"], s["delay_p95"], s["delay_p99"])
             if any(v is None for v in pct) or not 1 <= pct[0] <= pct[1] <= pct[2]:
                 bad.append(f"{tag}: delay percentiles {pct} not ordered 1 <= p50 <= p95 <= p99")
-            rise = queue_rise(s["qs_traj"], s["traj_stride"], s["warmup"])
-            if rise > QUEUE_RISE_BURSTS * batch:
-                bad.append(f"{tag}: source queue rises by {rise:.1f} packets over the window")
+            slope, window, _, _ = queue_fit(s["qs_traj"], s["traj_stride"], s["warmup"])
+            if slope * window > QUEUE_RISE_BURSTS * batch:
+                bad.append(f"{tag}: source queue rises by {slope * window:.1f} packets "
+                           f"over the window")
+            bad += check_verdict(tag, s)
         ob, dd = by_proto.get("obdwf"), by_proto.get("ddf")
         if ob and dd and not (ob["mean_delay"] is not None and dd["mean_delay"] is not None
                               and ob["mean_delay"] < dd["mean_delay"]):

@@ -8,7 +8,6 @@ which that check must reject.
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,8 +27,7 @@ def saturation():
 
 @pytest.fixture(scope="module")
 def bursty():
-    wl = workloads.Bursty(seed=3)
-    wl.cfg = replace(wl.cfg, horizon=40_000)  # the checks hold at any horizon; keep tests short
+    wl = workloads.Bursty(seed=3)  # full horizon: the engine's verdict needs 200k frames
     first = _round(wl)
     return wl, [first, copy.deepcopy(first)]
 
@@ -37,6 +35,11 @@ def bursty():
 def test_valid_results_pass(saturation, bursty):
     for wl, rounds in (saturation, bursty):
         assert wl.check(rounds) == []
+
+
+def test_conservation_is_checked_throughout_each_operation(saturation, bursty):
+    for wl, _ in (saturation, bursty):
+        assert wl.cfg.horizon // wl.cfg.conservation_check_every >= 10
 
 
 def test_repeated_rounds_must_match(saturation, bursty):
@@ -109,6 +112,12 @@ BURSTY_CORRUPTIONS = {
                          "not ordered"),
     "percentile_floor": (_set("obdwf", delay_p50=0.0), "not ordered"),
     "queue_growth": (_with("ddf", _ramp), "source queue rises"),
+    "conservation_flag": (_set("ddf", conservation_ok=False), "conservation"),
+    "verdict_missing": (_set("obdwf", verdict=None), "no stability verdict"),
+    "verdict_flipped": (_with("ddf", lambda s: s["verdict"].update(
+        stable=not s["verdict"]["stable"])), "own fit says"),
+    "verdict_slope": (_with("obdwf", lambda s: s["verdict"].update(
+        slope=2 * s["verdict"]["slope"] + 1e-9)), "verdict slope"),
     "delay_order": (lambda rnd: rnd["obdwf"].update(mean_delay=rnd["ddf"]["mean_delay"] + 1),
                     "mean delay"),
 }

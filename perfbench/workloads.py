@@ -10,7 +10,7 @@ same work. `check(rounds)` runs the output checks of `checks.py`.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from relaysim import cli, config, engine, geometry
 
@@ -19,9 +19,18 @@ import checks
 # fig3b (saturation throughput versus K) at the middle of its K axis, 20..200.
 SATURATION_K = 110
 # Frames per saturation operation: short operations give many timed samples in
-# one benchmark run (see worker.end_to_end), and a saturated frame costs about
-# the same throughout a run. No warm-up, so ddf/dfsc services tile the window.
+# one benchmark run (see worker.end_to_end). The first 1,500 frames of a run
+# hold as many relay copies and cost as much per frame as the frames after
+# fig3b's warm-up (steady_state.py, README). No warm-up, so ddf/dfsc services
+# tile the window.
 SATURATION_HORIZON = 1_500
+# Packet conservation is checked every this many frames, 15 times per operation
+# (the engine's default of 10,000 would check frame 0 alone).
+SATURATION_CONSERVATION_EVERY = 100
+# Long enough that the post-warm-up window (202,497 frames: warm-up horizon // 10,
+# trajectory stride 3) reaches assess_stability's min_window of 200,000 frames,
+# so that the engine judges stability. The default 200,000 frames fall short.
+BURSTY_HORIZON = 225_000
 BURSTY_PROTOCOLS = ("obdwf", "ddf")
 
 
@@ -48,8 +57,10 @@ class Saturation:
         spec = _plan(["sweep", "--preset", "fig3b", "--set", f"sim.horizon={SATURATION_HORIZON}",
                       "--set", "sim.warmup=0"])
         self.protocols = spec.protocols
-        self.cfg = _validated(engine.apply_axis(spec.sim, spec.axis, SATURATION_K),
-                              self.protocols)
+        cfg = engine.apply_axis(spec.sim, spec.axis, SATURATION_K)
+        self.cfg = _validated(
+            replace(cfg, conservation_check_every=SATURATION_CONSERVATION_EVERY),
+            self.protocols)
 
     def operations(self):
         cfg = replace(self.cfg, seed=self.seed)
@@ -70,11 +81,11 @@ def _summarize_saturation(m) -> tuple[int, dict]:
 
 
 class Bursty:
-    """The default scenario, SimConfig(), for obdwf and ddf."""
+    """The default scenario, SimConfig(), run for BURSTY_HORIZON frames, for obdwf and ddf."""
 
     def __init__(self, seed: int):
         self.seed = seed
-        spec = _plan(["run"])
+        spec = _plan(["run", "--set", f"sim.horizon={BURSTY_HORIZON}"])
         self.cfg = _validated(spec.sim, BURSTY_PROTOCOLS)
         ((self.batch, self.burst_prob), _) = sorted(self.cfg.arrival_pmf, reverse=True)
 
@@ -89,9 +100,11 @@ class Bursty:
 
 
 def _summarize_bursty(m) -> tuple[int, dict]:
-    keys = ("arrivals", "frames", "delivered", "source_drops", "delay_p50", "delay_p95",
-            "delay_p99", "mean_delay", "qs_traj", "traj_stride", "warmup")
-    return m.frames, {k: getattr(m, k) for k in keys}
+    keys = ("conservation_ok", "arrivals", "frames", "delivered", "source_drops", "delay_p50",
+            "delay_p95", "delay_p99", "mean_delay", "qs_traj", "traj_stride", "warmup")
+    summary = {k: getattr(m, k) for k in keys}
+    summary["verdict"] = None if m.stability is None else asdict(m.stability)
+    return m.frames, summary
 
 
 WORKLOADS = {"saturation": Saturation, "bursty": Bursty}
