@@ -456,6 +456,7 @@ class RunMetrics:
     aborted_unstable: bool
     stability: StabilityVerdict | None
     trace: list | None = None
+    delays: np.ndarray | None = None  # inclusive sojourns of measured deliveries, in order
 
     @property
     def broadcast_fraction(self) -> float | None:
@@ -692,7 +693,7 @@ def run(cfg: SimConfig) -> RunMetrics:
         service_count=service_count, rho_frames=rho_frames, eta_frames=eta_frames,
         qs_traj=qs_traj, relay_traj=relay_traj, traj_stride=stride,
         conservation_ok=conservation_ok, aborted_unstable=aborted,
-        stability=verdict, trace=trace,
+        stability=verdict, trace=trace, delays=np.asarray(delays, dtype=np.int64),
     )
 
 
