@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "OrderParams",
@@ -249,5 +248,7 @@ def loglog_order_fit(x, y) -> tuple[float, float]:
         raise ValueError("need at least 3 paired points")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs positive data")
+    from scipy import stats  # deferred: importing scipy.stats costs about a second
+
     res = stats.linregress(np.log(x), np.log(y))
     return float(res.slope), float(res.stderr)

@@ -11,7 +11,9 @@ import argparse
 import csv
 import math
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import validation
@@ -214,23 +216,34 @@ def cmd_sweep(args) -> int:
     return _run_sweep(spec)
 
 
+def _brackets(spec: ExperimentSpec, cfgs: list[SimConfig]):
+    """max_stable_rate of each config, in order; over one process pool when jobs > 1."""
+    bracket = partial(max_stable_rate, lo=spec.lo, hi=spec.hi,
+                      resolution=spec.resolution, batch_size=spec.batch)
+    if spec.jobs > 1 and len(cfgs) > 1:
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(cfgs))) as ex:
+            yield from ex.map(bracket, cfgs)
+    else:
+        yield from map(bracket, cfgs)
+
+
 def _run_stability(spec: ExperimentSpec) -> int:
     if not 0.0 < spec.lo < spec.hi:
         raise ConfigError(f"stability bounds need 0 < lo < hi, got {spec.lo}, {spec.hi}")
     protocols = spec.protocols or (spec.sim.protocol,)
     values = spec.values if spec.axis else (None,)
-    rows = []
+    plan = []
     for proto in protocols:
         base = replace(spec.sim, protocol=proto)
         for v in values:
-            cfg = apply_axis(base, spec.axis, v) if spec.axis else base
-            br = max_stable_rate(cfg, lo=spec.lo, hi=spec.hi,
-                                 resolution=spec.resolution, batch_size=spec.batch)
-            rows.append([spec.axis or "", v, proto, br.stable_rate, br.unstable_rate,
-                         br.midpoint, br.resolution, len(br.probes), cfg.seed])
-            tag = f" {spec.axis}={v}" if spec.axis else ""
-            print(f"  {proto:<6}{tag}: stable<= {_fmt(br.stable_rate)} "
-                  f"unstable>= {_fmt(br.unstable_rate)}")
+            plan.append((proto, v, apply_axis(base, spec.axis, v) if spec.axis else base))
+    rows = []
+    for (proto, v, cfg), br in zip(plan, _brackets(spec, [cfg for _, _, cfg in plan])):
+        rows.append([spec.axis or "", v, proto, br.stable_rate, br.unstable_rate,
+                     br.midpoint, br.resolution, len(br.probes), cfg.seed])
+        tag = f" {spec.axis}={v}" if spec.axis else ""
+        print(f"  {proto:<6}{tag}: stable<= {_fmt(br.stable_rate)} "
+              f"unstable>= {_fmt(br.unstable_rate)}")
     out = _out_dir(spec) / f"{spec.name}_stability.csv"
     _write_csv(out, ["axis", "value", "protocol", "stable_rate", "unstable_rate",
                      "midpoint", "resolution", "n_probes", "seed"], rows)
@@ -288,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--preset", choices=PRESET_NAMES,
                         help="packaged experiment preset")
         sp.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
-        sp.add_argument("--jobs", type=int, help="parallel replicate workers")
+        sp.add_argument("--jobs", type=int,
+                        help="worker processes for replicates or stability brackets")
         sp.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one config key (repeatable)")
         if with_out:

@@ -1,13 +1,17 @@
 """Frame-synchronous Monte Carlo engine.
 
 Each frame advances in a fixed order: batch arrivals join the source queue,
-relays move, fresh fading is drawn for the links the protocol inspects, the
-protocol acts (broadcast / relay forward / idle), and metrics update. All
-randomness comes from counter-based streams keyed by (seed, stream, frame,
-index), so reruns are bit-identical and lazily drawn links match eager ones.
+relays move, fresh fading holds for the frame, the protocol acts (broadcast /
+relay forward / idle), and metrics update. All randomness comes from
+counter-based streams keyed by (seed, stream, frame, index), so reruns are
+bit-identical and a value does not depend on when it is drawn.
 
-Relay state is held in flat numpy arrays (positions, strip indices, distance
-powers) and updated in place so the per-frame channel view can alias them.
+Mobility, placement, distances, fading and connectivity do not depend on
+protocol state, so they are computed for a block of frames at once,
+vectorized across frames and relays (_Fleet.block, FrameLinks.fill). The
+frame loop then only runs arrivals, the protocol step on that frame's rows,
+and bookkeeping. A block holds _BLOCK_BYTES / (K * _CELL_BYTES) frames, about
+1 MiB of arrays whatever K is; the block size never changes a result.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as _sstats
 
 from .channel import GainTable, PhyParams, Rayleigh
 from .geometry import (
@@ -25,6 +28,7 @@ from .geometry import (
     RandomWalk,
     RandomWaypoint,
     build_disk,
+    region_box,
     region_of,
     walk_next,
 )
@@ -47,6 +51,7 @@ from .rng import (
     STREAM_WAYPOINT,
     CounterRng,
     FrameStream,
+    keyed_uniforms,
 )
 from .traffic import ArrivalDistribution, InfiniteBacklog, Packet, RelayBank, SourceQueue
 
@@ -212,178 +217,168 @@ def assess_stability(
 
 # ---------- relay fleet ----------
 
+# Frames per block: the block's arrays (walk draws and strips, fading gains,
+# d^alpha rows, connectivity, and the temporaries of drawing them) take about
+# _CELL_BYTES per (frame, relay) cell, so a block holds _BLOCK_BYTES / (K *
+# _CELL_BYTES) frames: 74 at K = 110, one frame from K = 8192 up.
+_BLOCK_BYTES = 1 << 20
+_CELL_BYTES = 128
+
 
 class _Fleet:
-    """Relay positions/strips and their mobility, as in-place numpy state.
+    """Relay mobility, realized one block of frames at a time.
 
-    Strip indices advance every frame. Under the random walk, the point inside
-    a strip is redrawn only when the strip changes, and that draw is keyed by
-    the frame the change happened: mover rank i of a frame with n movers reads
-    counter lanes (a*2n + i, a*2n + n + i) on rejection attempt a. Lanes do
-    not depend on other movers' accept/reject outcomes, so positions can be
-    materialized lazily (frames after the fact) and still match an eager
-    per-frame draw bit for bit. The engine calls materialize() only on frames
-    whose protocol step actually inspects the channel.
+    block(f0, n) returns the d^alpha rows of every relay toward the source and
+    toward the destination for frames f0 .. f0+n-1, each of shape (n, K), and
+    carries the strips and the last rows into the next block.
+
+    Under the random walk one (n, K) draw of walk uniforms gives every relay's
+    strip in every frame of the block, through a transition table built from
+    walk_next. A relay whose strip changes in frame f is placed uniformly in
+    the new strip by rejection from the strip's bounding box: mover rank i of
+    the m movers of frame f reads counter lanes (a*2m + i, a*2m + m + i) of the
+    placement stream on attempt a. The lanes do not depend on any other
+    mover's outcome, so all changes of a block are placed together (attempt 0
+    for every change, each later attempt only for the rejects), and between
+    changes a relay keeps its point, so its d^alpha row is forward-filled. The
+    waypoint walk carries targets and pauses from frame to frame and is
+    stepped frame by frame inside the block; pinned relays repeat one row.
     """
 
     def __init__(self, cfg: SimConfig, geometry: DiskGeometry, rng: CounterRng):
-        self.cfg = cfg
-        self.geo = geometry
         self.rng = rng
         K = cfg.K
         self.K = K
         self.alpha = cfg.alpha
         r = geometry.radius
-        self.pinned = cfg.pinned_positions is not None
-        self.positions = np.empty((K, 2), dtype=np.float64)
-        if self.pinned:
+        self.radius = r
+        self.mobility = None if cfg.pinned_positions is not None else cfg.mobility
+        positions = np.empty((K, 2), dtype=np.float64)
+        if self.mobility is None:
             for j, (x, y) in enumerate(cfg.pinned_positions):
-                self.positions[j] = (x, y)
+                positions[j] = (x, y)
                 region_of(geometry, (x, y))  # raises if outside the disk
         else:
             u = rng.uniforms(STREAM_INIT, 0, 2 * K)
             rad = r * np.sqrt(u[:K])
             ang = 2.0 * np.pi * u[K:]
-            self.positions[:, 0] = r + rad * np.cos(ang)
-            self.positions[:, 1] = rad * np.sin(ang)
-        bounds = np.asarray(geometry.boundaries)
-        self.regions = np.clip(
-            np.searchsorted(bounds, self.positions[:, 0], side="right"), 1, cfg.num_regions
-        ).astype(np.int64)
-        # per-strip bounding boxes for rejection resampling
-        self._bx0 = bounds[:-1]
-        self._bx1 = bounds[1:]
-        hh = np.empty(cfg.num_regions)
-        for k in range(cfg.num_regions):
-            if self._bx0[k] <= r <= self._bx1[k]:
-                hh[k] = r
-            else:
-                d = min(abs(self._bx0[k] - r), abs(self._bx1[k] - r))
-                hh[k] = math.sqrt(max(r * r - d * d, 0.0))
-        self._bh = hh
-        self.dist_src = np.empty(K)
-        self.dist_dst = np.empty(K)
-        self.src_dpow = np.empty(K)
-        self.dst_dpow = np.empty(K)
-        # deferred strip-change records: frame of last change, mover rank, mover count
-        self._pend_frame = np.full(K, -1, dtype=np.int64)
-        self._pend_rank = np.zeros(K, dtype=np.int64)
-        self._pend_n = np.zeros(K, dtype=np.int64)
-        self._refresh_distances(np.arange(K))
-        if isinstance(cfg.mobility, RandomWaypoint):
+            positions[:, 0] = r + rad * np.cos(ang)
+            positions[:, 1] = rad * np.sin(ang)
+        self.src_dpow, self.dst_dpow = self._dpow(positions)
+        if isinstance(self.mobility, RandomWalk):
+            M = cfg.num_regions
+            bounds = np.asarray(geometry.boundaries)
+            self.regions = np.clip(
+                np.searchsorted(bounds, positions[:, 0], side="right"), 1, M
+            ).astype(np.int64)
+            self._box = np.array([region_box(geometry, k) for k in range(1, M + 1)])
+            q = cfg.mobility.q
+            self.q = q
+            # walk_next reads u only through (u < q, u >= 1-q), so the code
+            # c = [u >= q] + [u >= 1-q] decides the step; representatives of the
+            # three codes are u = 0, q and 1. The table maps 3*strip + c to
+            # 3*next strip, so the walk state is kept as 3*strip.
+            strips = np.repeat(np.arange(M + 1, dtype=np.int64), 3)
+            reps = np.tile(np.array([0.0, q, 1.0]), M + 1)
+            self._next3 = 3 * np.asarray(walk_next(strips, reps, q, M), dtype=np.int64)
+            self.resample = cfg.resample_within_region
+        elif isinstance(self.mobility, RandomWaypoint):
+            self.positions = positions
             u = rng.uniforms(STREAM_INIT, 1, 3 * K)
             trad = r * np.sqrt(u[:K])
             tang = 2.0 * np.pi * u[K : 2 * K]
             self.targets = np.column_stack((r + trad * np.cos(tang), trad * np.sin(tang)))
-            m = cfg.mobility
+            m = self.mobility
             self.speeds = m.speed_min + (m.speed_max - m.speed_min) * u[2 * K :]
             self.pause_left = np.zeros(K, dtype=np.int64)
             self._pause_set = np.asarray(m.pause_set, dtype=np.int64)
 
-    def _refresh_distances(self, idx) -> None:
-        p = self.positions[idx]
-        r2 = 2.0 * self.geo.radius
+    def _dpow(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d^alpha toward the source and the destination of points p, shape (m, 2)."""
+        r2 = 2.0 * self.radius
         d2s = p[:, 0] ** 2 + p[:, 1] ** 2
         d2d = (p[:, 0] - r2) ** 2 + p[:, 1] ** 2
         np.maximum(d2s, _MIN_SEPARATION**2, out=d2s)
         np.maximum(d2d, _MIN_SEPARATION**2, out=d2d)
-        self.dist_src[idx] = np.sqrt(d2s)
-        self.dist_dst[idx] = np.sqrt(d2d)
         if self.alpha == 4.0:
-            self.src_dpow[idx] = d2s * d2s
-            self.dst_dpow[idx] = d2d * d2d
-        else:
-            half = 0.5 * self.alpha
-            self.src_dpow[idx] = d2s**half
-            self.dst_dpow[idx] = d2d**half
+            return d2s * d2s, d2d * d2d
+        half = 0.5 * self.alpha
+        return d2s**half, d2d**half
 
-    def step(self, frame: int) -> None:
-        if self.pinned:
-            return
-        if isinstance(self.cfg.mobility, RandomWalk):
-            self._step_walk(frame)
-        else:
-            self._step_waypoint(frame)
+    def block(self, f0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if isinstance(self.mobility, RandomWalk):
+            return self._walk_block(f0, n)
+        if isinstance(self.mobility, RandomWaypoint):
+            return self._waypoint_block(f0, n)
+        shape = (n, self.K)
+        return np.broadcast_to(self.src_dpow, shape), np.broadcast_to(self.dst_dpow, shape)
 
-    def _step_walk(self, frame: int) -> None:
-        cfg = self.cfg
-        u = self.rng.uniforms(STREAM_WALK, frame, self.K)
-        new = walk_next(self.regions, u, cfg.mobility.q, cfg.num_regions)
-        if cfg.resample_within_region:
-            moved = np.arange(self.K)
-        else:
-            moved = np.nonzero(new != self.regions)[0]
-        self.regions[:] = new
-        if moved.size:
-            self._pend_frame[moved] = frame
-            self._pend_rank[moved] = np.arange(moved.size)
-            self._pend_n[moved] = moved.size
+    def _walk_block(self, f0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        K = self.K
+        u = self.rng.block_uniforms(STREAM_WALK, f0, n, K)
+        code = (u >= self.q).view(np.int8) + (u >= 1.0 - self.q).view(np.int8)
+        s3 = np.empty((n + 1, K), dtype=np.int64)  # 3*strip; row 0 carries the last block's
+        s3[0] = 3 * self.regions
+        nxt3 = self._next3
+        for b in range(n):
+            nxt3.take(s3[b] + code[b], out=s3[b + 1])
+        self.regions = s3[n] // 3
+        moved = np.ones((n, K), dtype=bool) if self.resample else s3[1:] != s3[:-1]
+        rows, cols = np.nonzero(moved)  # frame-major, so mover rank follows relay order
+        src = np.empty((n + 1, K))
+        dst = np.empty((n + 1, K))
+        src[0] = self.src_dpow
+        dst[0] = self.dst_dpow
+        if rows.size:
+            movers = np.count_nonzero(moved, axis=1)
+            rank = np.arange(rows.size) - (np.cumsum(movers) - movers)[rows]
+            points = self._place(f0, n, rows, rank, movers[rows], s3[rows + 1, cols] // 3 - 1)
+            src[1:][moved], dst[1:][moved] = self._dpow(points)
+        # forward-fill: each cell reads the row of its relay's last change
+        last = np.where(moved, np.arange(1, n + 1)[:, None], 0)
+        np.maximum.accumulate(last, axis=0, out=last)
+        relay = np.arange(K)
+        src_rows = src[last, relay]
+        dst_rows = dst[last, relay]
+        self.src_dpow = src_rows[-1].copy()
+        self.dst_dpow = dst_rows[-1].copy()
+        return src_rows, dst_rows
 
-    def materialize(self) -> None:
-        """Draw positions for every strip change not yet realized."""
-        dirty = np.nonzero(self._pend_frame >= 0)[0]
-        if dirty.size == 0:
-            return
-        vals = self._pend_frame[dirty]
-        if vals.size == 1 or (vals == vals[0]).all():
-            self._place_lanes(dirty, int(vals[0]))
-        else:
-            for f in np.unique(vals):
-                self._place_lanes(dirty[vals == f], int(f))
-        self._pend_frame[dirty] = -1
-        self._refresh_distances(dirty)
-
-    _FIRST_ATTEMPTS = 3  # attempts drawn as one batch; bbox acceptance is > 0.7
-
-    def _place_lanes(self, idx: np.ndarray, frame: int) -> None:
-        """Uniform points in each relay's strip via lane-indexed rejection."""
-        r = self.geo.radius
-        n = int(self._pend_n[idx[0]])
-        cols = self._pend_rank[idx]
-        reg = self.regions[idx] - 1
-        x0, x1, hh = self._bx0[reg], self._bx1[reg], self._bh[reg]
-        out = self.positions
-        m = idx.size
-        s0 = self._FIRST_ATTEMPTS
-        xi = np.arange(s0, dtype=np.int64)[:, None] * (2 * n) + cols[None, :]
-        u = self.rng.uniforms_at(
-            STREAM_PLACE, frame, np.concatenate([xi.ravel(), (xi + n).ravel()])
-        )
-        ux = u[: s0 * m].reshape(s0, m)
-        uy = u[s0 * m :].reshape(s0, m)
-        # u in (0,1]: map so the strip's right edge is excluded, left included
-        x = x1[None, :] + (x0 - x1)[None, :] * ux
-        y = hh[None, :] * (2.0 * uy - 1.0)
-        ok = (x - r) ** 2 + y * y <= r * r
-        first = ok.argmax(axis=0)
-        lane = np.arange(m)
-        got = ok[first, lane]
-        hit = idx[got]
-        out[hit, 0] = x[first, lane][got]
-        out[hit, 1] = y[first, lane][got]
-        pending = lane[~got]
-        for attempt in range(s0, 200):
-            if pending.size == 0:
-                return
-            base = attempt * 2 * n
-            cp = cols[pending]
-            u = self.rng.uniforms_at(
-                STREAM_PLACE, frame, np.concatenate([base + cp, base + n + cp])
-            )
-            p = pending.size
-            xx = x1[pending] + (x0[pending] - x1[pending]) * u[:p]
-            yy = hh[pending] * (2.0 * u[p:] - 1.0)
-            okk = (xx - r) ** 2 + yy * yy <= r * r
-            hit = idx[pending[okk]]
-            out[hit, 0] = xx[okk]
-            out[hit, 1] = yy[okk]
-            pending = pending[~okk]
+    def _place(self, f0, n, rows, rank, movers, strip) -> np.ndarray:
+        """Uniform points in each change's strip, by lane-keyed rejection."""
+        r = self.radius
+        x0, x1, hh = self._box[strip].T
+        bases = self.rng.frame_bases(STREAM_PLACE, f0, n)[rows]
+        out = np.empty((rows.size, 2))
+        todo = np.arange(rows.size)
+        for attempt in range(200):
+            m = movers[todo]
+            lane = attempt * 2 * m + rank[todo]
+            b = bases[todo]
+            u = keyed_uniforms(np.concatenate((b, b)), np.concatenate((lane, lane + m)))
+            k = todo.size
+            x = x1[todo] + (x0[todo] - x1[todo]) * u[:k]  # u in (0,1]: right edge excluded
+            y = hh[todo] * (2.0 * u[k:] - 1.0)
+            ok = (x - r) ** 2 + y * y <= r * r
+            out[todo[ok], 0] = x[ok]
+            out[todo[ok], 1] = y[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                return out
         raise RuntimeError("strip rejection sampling failed to converge")
 
+    def _waypoint_block(self, f0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        src = np.empty((n, self.K))
+        dst = np.empty((n, self.K))
+        for b in range(n):
+            self._step_waypoint(f0 + b)
+            src[b], dst[b] = self._dpow(self.positions)
+        return src, dst
+
     def _step_waypoint(self, frame: int) -> None:
-        m = self.cfg.mobility
+        m = self.mobility
         K = self.K
-        r = self.geo.radius
+        r = self.radius
         paused = self.pause_left > 0
         self.pause_left[paused] -= 1
         moving = ~paused
@@ -411,12 +406,6 @@ class _Fleet:
                 self.targets[arr, 1] = rad * np.sin(2.0 * np.pi * ua)
                 us = self.rng.uniforms(STREAM_WAYPOINT, frame, K, start=3 * K)[arr]
                 self.speeds[arr] = m.speed_min + (m.speed_max - m.speed_min) * us
-        bounds = np.asarray(self.geo.boundaries)
-        self.regions[:] = np.clip(
-            np.searchsorted(bounds, self.positions[:, 0], side="right"),
-            1, self.cfg.num_regions,
-        )
-        self._refresh_distances(slice(None))
 
 
 # ---------- run metrics ----------
@@ -525,21 +514,19 @@ def run(cfg: SimConfig) -> RunMetrics:
     fading = cfg.fading
     K = cfg.K
     direct_dist = max(2.0 * cfg.radius, _MIN_SEPARATION)
-    frame_box = [0]
+    links = FrameLinks(phy, direct_dist**cfg.alpha)
+    block = max(1, _BLOCK_BYTES // (_CELL_BYTES * K))
 
-    def draw_src():
-        return fading.from_uniforms(rng.uniforms(STREAM_FADE_SRC, frame_box[0], K))
+    def load_block(f0: int, n: int) -> None:
+        links.clear()  # free the finished block before drawing the next
+        src_dpow, dst_dpow = fleet.block(f0, n)
+        links.fill(
+            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_SRC, f0, n, K)),
+            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DST, f0, n, K)),
+            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DIRECT, f0, n, 1)[:, 0]),
+            src_dpow, dst_dpow,
+        )
 
-    def draw_dst():
-        return fading.from_uniforms(rng.uniforms(STREAM_FADE_DST, frame_box[0], K))
-
-    def draw_direct():
-        return float(fading.from_uniforms(rng.uniform(STREAM_FADE_DIRECT, frame_box[0])))
-
-    links = FrameLinks(
-        phy, fleet.src_dpow, fleet.dst_dpow, direct_dist**cfg.alpha,
-        draw_src, draw_dst, draw_direct,
-    )
     proto_stream = FrameStream(rng, STREAM_PROTO)
 
     stride = cfg.traj_stride or max(1, horizon // 65536)
@@ -565,9 +552,15 @@ def run(cfg: SimConfig) -> RunMetrics:
     chunk = 65536
     batches = None
 
+    row = block_rows = 0
     f = 0
     while f < horizon:
-        frame_box[0] = f
+        if row == block_rows:
+            block_rows = min(block, horizon - f)
+            load_block(f, block_rows)
+            row = 0
+        links.row = row
+        row += 1
         a_s = 0
         if not backlog:
             if f % chunk == 0:
@@ -582,10 +575,6 @@ def run(cfg: SimConfig) -> RunMetrics:
                     a_s += 1
                     arrival_frames[pkt.id] = f
 
-        fleet.step(f)
-        if cfg.track_connectivity or relays.total_copies or len(source):
-            fleet.materialize()
-        links.clear()
         outcome = proto.step(links, source, relays, proto_stream.rebind(f))
 
         measured = f >= warmup
@@ -738,7 +727,9 @@ def aggregate_metric(runs: list[RunMetrics], name: str) -> tuple[float, float, f
     sem = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
     if sem == 0.0:
         return mean, mean, mean
-    half = float(_sstats.t.ppf(0.975, len(vals) - 1)) * sem
+    from scipy import stats  # deferred: importing scipy.stats costs about a second
+
+    half = float(stats.t.ppf(0.975, len(vals) - 1)) * sem
     return mean, mean - half, mean + half
 
 

@@ -1,10 +1,10 @@
 """Per-frame forwarding disciplines.
 
-Each protocol advances one frame at a time against a FrameLinks view (lazy
-per-frame channel draws), the source queue, and the relay bank, and reports
-what happened as a FrameOutcome. At most one packet is delivered per frame,
-and a frame has exactly one role: a source broadcast, a relay forward, or
-idle.
+Each protocol advances one frame at a time against a FrameLinks view (that
+frame's row of the channel block the engine precomputed), the source queue,
+and the relay bank, and reports what happened as a FrameOutcome. At most one
+packet is delivered per frame, and a frame has exactly one role: a source
+broadcast, a relay forward, or idle.
 
 Protocols:
   * Obdwf: relays with buffered packets contend whenever destination-connected
@@ -51,92 +51,85 @@ ROLE_IDLE = "idle"
 
 
 class FrameLinks:
-    """One frame of channel state, drawn lazily and cached.
+    """The channel of one frame: row `row` of a block of precomputed frames.
 
-    Draw callables return the source-side gains (K,), destination-side gains
-    (K,), and the direct source-destination gain (scalar). Distances are
-    supplied as d^alpha arrays so connectivity thresholds are shared with the
-    engine's vectorized path.
+    The engine fills a block of B frames at once with fill(): fading gains
+    toward the source and the destination (B, K), the direct gain (B,), and
+    the relays' d^alpha rows (B, K), and the connectivity of the whole block
+    is thresholded there, so boundary cases are decided by one expression.
+    Before each protocol step the engine sets `row`; the methods below return
+    that frame's values.
     """
 
     __slots__ = (
-        "phy", "src_dpow", "dst_dpow", "direct_dpow", "_coef",
-        "_draw_src", "_draw_dst", "_draw_direct",
-        "_h_src", "_h_dst", "_h_direct", "_conn_src", "_conn_dst",
+        "phy", "direct_dpow", "row", "_coef",
+        "_h_src", "_h_dst", "_h_direct", "_src_dpow", "_dst_dpow",
+        "_conn_src", "_conn_dst", "_conn_direct",
     )
 
-    def __init__(self, phy: PhyParams, src_dpow, dst_dpow, direct_dpow,
-                 draw_src, draw_dst, draw_direct):
+    def __init__(self, phy: PhyParams, direct_dpow: float):
         self.phy = phy
-        self.src_dpow = src_dpow
-        self.dst_dpow = dst_dpow
         self.direct_dpow = direct_dpow
         self._coef = (phy.beta - 1.0) / (phy.power * phy.xi)
-        self._draw_src = draw_src
-        self._draw_dst = draw_dst
-        self._draw_direct = draw_direct
-        self._h_src = None
-        self._h_dst = None
-        self._h_direct = None
-        self._conn_src = None
-        self._conn_dst = None
+        self.row = 0
+        self.clear()
 
     @classmethod
     def from_values(cls, phy, h_src, h_dst, h_direct, dist_src, dist_dst, dist_direct):
-        """Fixed-value view for tests: distances, not premultiplied powers."""
+        """One-frame view of fixed values for tests: distances, not premultiplied powers."""
         a = phy.alpha
-        return cls(
-            phy,
-            np.asarray(dist_src, dtype=np.float64) ** a,
-            np.asarray(dist_dst, dtype=np.float64) ** a,
-            float(dist_direct) ** a,
-            lambda: np.asarray(h_src, dtype=np.float64),
-            lambda: np.asarray(h_dst, dtype=np.float64),
-            lambda: float(h_direct),
+        links = cls(phy, float(dist_direct) ** a)
+        links.fill(
+            np.asarray(h_src, dtype=np.float64)[None],
+            np.asarray(h_dst, dtype=np.float64)[None],
+            np.array([float(h_direct)]),
+            (np.asarray(dist_src, dtype=np.float64) ** a)[None],
+            (np.asarray(dist_dst, dtype=np.float64) ** a)[None],
         )
+        return links
+
+    def fill(self, h_src, h_dst, h_direct, src_dpow, dst_dpow) -> None:
+        """Load a block: gains and d^alpha rows (B, K), direct gains (B,)."""
+        coef = self._coef
+        self._h_src = h_src
+        self._h_dst = h_dst
+        self._src_dpow = src_dpow
+        self._dst_dpow = dst_dpow
+        self._conn_src = h_src >= coef * src_dpow
+        self._conn_dst = h_dst >= coef * dst_dpow
+        self._h_direct = h_direct.tolist()
+        self._conn_direct = (h_direct >= coef * self.direct_dpow).tolist()
 
     def clear(self) -> None:
-        """Drop cached draws so the next access samples the current frame."""
-        self._h_src = None
-        self._h_dst = None
-        self._h_direct = None
-        self._conn_src = None
-        self._conn_dst = None
+        """Drop the loaded block, so that its arrays can be freed."""
+        self._h_src = self._h_dst = self._h_direct = None
+        self._src_dpow = self._dst_dpow = None
+        self._conn_src = self._conn_dst = self._conn_direct = None
 
     def src_gains(self) -> np.ndarray:
-        if self._h_src is None:
-            self._h_src = self._draw_src()
-        return self._h_src
+        return self._h_src[self.row]
 
     def dst_gains(self) -> np.ndarray:
-        if self._h_dst is None:
-            self._h_dst = self._draw_dst()
-        return self._h_dst
+        return self._h_dst[self.row]
 
     def direct_gain(self) -> float:
-        if self._h_direct is None:
-            self._h_direct = self._draw_direct()
-        return self._h_direct
+        return self._h_direct[self.row]
 
     def src_connected(self) -> np.ndarray:
-        if self._conn_src is None:
-            self._conn_src = self.src_gains() >= self._coef * self.src_dpow
-        return self._conn_src
+        return self._conn_src[self.row]
 
     def dst_connected(self) -> np.ndarray:
-        if self._conn_dst is None:
-            self._conn_dst = self.dst_gains() >= self._coef * self.dst_dpow
-        return self._conn_dst
+        return self._conn_dst[self.row]
 
     def direct_connected(self) -> bool:
-        return self.direct_gain() >= self._coef * self.direct_dpow
+        return self._conn_direct[self.row]
 
     def src_quality(self) -> np.ndarray:
         """Gain over d^alpha toward the source (for analog relaying)."""
-        return self.src_gains() / self.src_dpow
+        return self._h_src[self.row] / self._src_dpow[self.row]
 
     def dst_quality(self) -> np.ndarray:
-        return self.dst_gains() / self.dst_dpow
+        return self._h_dst[self.row] / self._dst_dpow[self.row]
 
 
 @dataclass(frozen=True)
@@ -322,7 +315,7 @@ class DfSc:
         if self.phase == 2:
             self.eta += 1
             idx = np.asarray(self.decoded)
-            total = float(np.sum(links.dst_gains()[idx] / links.dst_dpow[idx]))
+            total = float(np.sum(links.dst_quality()[idx]))
             ok = links.phy.power * links.phy.xi * total >= links.phy.beta - 1.0
             if not ok:
                 return FrameOutcome(ROLE_FORWARD)

@@ -7,7 +7,10 @@ drawn that frame. Streams separate the independent randomness sources of a run
 
 The generator is a SplitMix64-style avalanche hash over a 64-bit counter.
 Scalar mixing stays in Python ints (numpy scalar uint64 ops emit overflow
-warnings); vector mixing uses uint64 arrays, which wrap silently.
+warnings); vector mixing uses uint64 arrays, which wrap silently. The frame
+base is itself a mix, so block_uniforms() and keyed_uniforms() vectorize it
+across frames: a block of B frames × n lanes is one call, equal pointwise to
+B calls of uniforms().
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "CounterRng",
+    "keyed_uniforms",
     "STREAM_FADE_SRC",
     "STREAM_FADE_DST",
     "STREAM_FADE_DIRECT",
@@ -68,6 +72,20 @@ def _mix_vec(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Top 53 bits of mixed counters as uniforms in (0, 1]."""
+    return ((z >> _S11) + _ONE_U).astype(np.float64) * _TWO53_INV
+
+
+def keyed_uniforms(bases: np.ndarray, indices) -> np.ndarray:
+    """Uniforms at counter positions `indices` of the frames whose bases are given.
+
+    `bases` comes from CounterRng.frame_bases; the two arrays broadcast, so
+    each (frame, index) pair can differ. Matches uniforms_at() pointwise.
+    """
+    return _unit(_mix_vec(bases + np.asarray(indices, dtype=np.uint64) * _GOLD_U))
+
+
 class CounterRng:
     """Stateless keyed uniform source; all methods are pure in their arguments."""
 
@@ -96,15 +114,21 @@ class CounterRng:
             idx = np.arange(n, dtype=np.uint64) * _GOLD_U
             self._idx_cache[n] = idx
         base = np.uint64((self._base(stream, frame) + _GOLD * start) & _MASK)
-        z = _mix_vec(idx + base)
-        return ((z >> _S11) + _ONE_U).astype(np.float64) * _TWO53_INV
+        return _unit(_mix_vec(idx + base))
 
     def uniforms_at(self, stream: int, frame: int, indices: np.ndarray) -> np.ndarray:
         """Uniforms at arbitrary counter positions; matches uniforms() pointwise."""
-        idx = np.asarray(indices, dtype=np.uint64) * _GOLD_U
-        base = np.uint64(self._base(stream, frame))
-        z = _mix_vec(idx + base)
-        return ((z >> _S11) + _ONE_U).astype(np.float64) * _TWO53_INV
+        return keyed_uniforms(np.uint64(self._base(stream, frame)), indices)
+
+    def frame_bases(self, stream: int, frame0: int, n_frames: int) -> np.ndarray:
+        """Stream bases of frames frame0 .. frame0+n_frames-1, for keyed_uniforms()."""
+        frames = np.arange(frame0, frame0 + n_frames, dtype=np.uint64)
+        return _mix_vec(np.uint64(self._stream_keys[stream]) + frames * _GOLD_U)
+
+    def block_uniforms(self, stream: int, frame0: int, n_frames: int, n: int) -> np.ndarray:
+        """(n_frames, n) uniforms: row b equals uniforms(stream, frame0 + b, n)."""
+        return keyed_uniforms(self.frame_bases(stream, frame0, n_frames)[:, None],
+                              np.arange(n, dtype=np.uint64))
 
     def exponentials(self, stream: int, frame: int, n: int, start: int = 0) -> np.ndarray:
         """n unit-mean exponential variates."""

@@ -1,0 +1,86 @@
+"""Block precompute: a run does not depend on how many frames a block holds.
+
+The engine draws mobility, placement and fading for a block of frames at a
+time, sized from a byte budget. Every draw is keyed by (seed, stream, frame,
+index), so forcing one-frame blocks or a small odd block size, which cuts the
+horizon mid-block, must reproduce the default run field by field.
+"""
+
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relaysim import engine
+from relaysim.channel import GainTable, Rayleigh
+from relaysim.geometry import RandomWalk, RandomWaypoint
+from relaysim.protocols import PROTOCOL_NAMES
+
+FADING = (Rayleigh(), GainTable(gains=(0.0, 0.5, 3.75), probs=(0.3, 0.5, 0.2)))
+
+
+@st.composite
+def configs(draw):
+    K = draw(st.integers(1, 30))
+    horizon = draw(st.integers(1, 400))
+    mobility = draw(st.sampled_from(("walk", "waypoint", "pinned")))
+    kw = {}
+    if mobility == "walk":
+        kw["mobility"] = RandomWalk(q=draw(st.sampled_from((0.0, 0.2, 0.5))))
+        kw["resample_within_region"] = draw(st.booleans())
+    elif mobility == "waypoint":
+        kw["mobility"] = RandomWaypoint(speed_min=0.05, speed_max=0.5, pause_set=(0, 1, 4))
+    else:
+        kw["pinned_positions"] = tuple(
+            (2.5 + 2.0 * math.cos(1.3 * j), 2.0 * math.sin(1.3 * j)) for j in range(K))
+    if draw(st.booleans()):
+        kw["infinite_backlog"] = True
+        kw["arrival_pmf"] = None
+    else:
+        kw["arrival_pmf"] = ((draw(st.integers(1, 4)), draw(st.floats(0.01, 0.6))),)
+        kw["abort_queue_threshold"] = draw(st.sampled_from((None, 8)))
+    return engine.SimConfig(
+        K=K,
+        protocol=draw(st.sampled_from(PROTOCOL_NAMES)),
+        horizon=horizon,
+        warmup=draw(st.integers(0, horizon - 1)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        num_regions=draw(st.integers(1, 6)),
+        alpha=draw(st.sampled_from((4.0, 3.0))),
+        rate=draw(st.sampled_from((1e6, 2e6, 4e6))),
+        fading=draw(st.sampled_from(FADING)),
+        buffer_capacity=draw(st.sampled_from((None, 1, 3))),
+        n_active=draw(st.integers(1, 4)),
+        n_decode=draw(st.integers(1, 4)),
+        track_connectivity=draw(st.booleans()),
+        record_trace=draw(st.booleans()),
+        conservation_check_every=1,
+        **kw,
+    )
+
+
+def _run_with_block(cfg, frames):
+    budget = frames * cfg.K * engine._CELL_BYTES
+    with mock.patch.object(engine, "_BLOCK_BYTES", budget):
+        return engine.run(cfg)
+
+
+def _assert_same_run(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_block_size_does_not_change_the_run(cfg):
+    default = engine.run(cfg)
+    assert default.conservation_ok
+    for frames in (1, 7):
+        _assert_same_run(_run_with_block(cfg, frames), default)

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -378,6 +382,30 @@ def test_cli_stability_unstable_probe(tmp_path, capsys):
     assert row[3] == "0" and row[4] == "0.7"  # nothing stable at or above lo
     assert row[7] == "1"
     assert "unstable>=" in capsys.readouterr().out
+
+
+def test_cli_stability_jobs_keep_plan_order_and_bytes(tmp_path, capsys):
+    # both brackets stop at their first probe, which aborts a few thousand frames in
+    plan = ["stability", "--set", "experiment.protocols=ddf,dfsc", "--lo", "0.5", "--hi", "0.9"]
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(plan + ["--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append(((out / "experiment_stability.csv").read_bytes(),
+                        capsys.readouterr().out.replace(str(out), "OUT")))
+    assert outputs[0] == outputs[1]
+    rows = read_csv(tmp_path / "2" / "experiment_stability.csv")
+    assert [r[2] for r in rows[1:]] == ["ddf", "dfsc"]
+    assert all(r[3] == "0" and r[4] == "0.5" and r[7] == "1" for r in rows[1:])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, relaysim.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys, monkeypatch):

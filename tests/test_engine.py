@@ -62,8 +62,9 @@ def test_rerun_bit_identical():
 
 
 def test_lazy_positions_match_eager():
-    # track_connectivity forces position materialization every frame; without
-    # it, positions are drawn retroactively. Both must give the same run.
+    # track_connectivity reads every frame's connectivity rows, while a run
+    # without it reads only the frames whose protocol step needs the channel.
+    # Both must give the same run.
     cfg = small_cfg(K=40, horizon=15_000)
     lazy = run(cfg)
     eager = run(replace(cfg, track_connectivity=True))

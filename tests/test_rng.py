@@ -12,6 +12,7 @@ from relaysim.rng import (
     STREAM_WALK,
     CounterRng,
     FrameStream,
+    keyed_uniforms,
 )
 
 
@@ -121,3 +122,22 @@ def test_frame_stream_rebind_resets_slot():
     out = fs.rebind(9)
     assert out is fs
     assert fs.random() == rng.uniform(STREAM_WALK, 9, 0)
+
+
+def test_block_uniforms_match_per_frame_rows():
+    rng = CounterRng(31)
+    block = rng.block_uniforms(STREAM_FADE_SRC, 2**33 - 3, 9, 40)
+    assert block.shape == (9, 40)
+    for b in range(9):
+        assert np.array_equal(block[b], rng.uniforms(STREAM_FADE_SRC, 2**33 - 3 + b, 40))
+
+
+def test_keyed_uniforms_match_uniforms_at_per_frame():
+    rng = CounterRng(31)
+    bases = rng.frame_bases(STREAM_PLACE, 100, 5)
+    frames = np.array([0, 4, 4, 2, 0])
+    idx = np.array([7, 0, 2**40, 3, 7])
+    got = keyed_uniforms(bases[frames], idx)
+    want = [rng.uniforms_at(STREAM_PLACE, 100 + int(f), np.array([i]))[0]
+            for f, i in zip(frames, idx)]
+    assert np.array_equal(got, want)
