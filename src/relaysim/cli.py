@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -221,7 +222,8 @@ def _brackets(spec: ExperimentSpec, cfgs: list[SimConfig]):
     bracket = partial(max_stable_rate, lo=spec.lo, hi=spec.hi,
                       resolution=spec.resolution, batch_size=spec.batch)
     if spec.jobs > 1 and len(cfgs) > 1:
-        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(cfgs))) as ex:
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(cfgs)),
+                                 mp_context=multiprocessing.get_context("spawn")) as ex:
             yield from ex.map(bracket, cfgs)
     else:
         yield from map(bracket, cfgs)
