@@ -444,8 +444,8 @@ class RunMetrics:
     conservation_ok: bool
     aborted_unstable: bool
     stability: StabilityVerdict | None
+    delays: np.ndarray  # inclusive sojourns of measured deliveries, in delivery order
     trace: list | None = None
-    delays: np.ndarray | None = None  # inclusive sojourns of measured deliveries, in order
 
     @property
     def broadcast_fraction(self) -> float | None:
