@@ -71,6 +71,12 @@ def cases() -> dict[str, "SimConfig"]:
     out["ddf-aborted-probe"] = SimConfig(
         protocol="ddf", horizon=6_000, warmup=0, arrival_pmf=((1, 0.9),),
         abort_queue_threshold=60, traj_stride=1, **base)
+    # Rare bursts over long horizons: the system is empty on most frames, and
+    # the idle spans cross the 65,536-frame arrival chunk.
+    out["obdwf-sparse-long"] = SimConfig(
+        protocol="obdwf", horizon=150_000, arrival_pmf=((3, 0.0005),), **dict(base, K=8))
+    out["ddf-sparse-long"] = SimConfig(
+        protocol="ddf", horizon=230_000, arrival_pmf=((3, 0.0005),), **dict(base, K=12))
     return out
 
 
