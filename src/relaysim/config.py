@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
 from .channel import GainTable, Rayleigh
 from .engine import SWEEP_AXES, SimConfig
 from .geometry import RandomWalk, RandomWaypoint
+from .protocols import PROTOCOL_NAMES
 
 __all__ = [
     "ConfigError",
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "fig7")
-PROTOCOL_CHOICES = ("obdwf", "ddf", "af", "afsc", "dfsc")
+PROTOCOL_CHOICES = PROTOCOL_NAMES
 
 _KNOWN_KEYS = {
     "sim": {
@@ -84,17 +86,14 @@ def parse_values(text: str) -> tuple:
         if len(parts) != 3:
             raise ConfigError(f"range must be lo:hi:step, got {text!r}")
         try:
-            lo, hi, step = (float(p) for p in parts)
-        except ValueError as e:
-            raise ConfigError(f"bad range {text!r}: {e}") from None
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"range {text!r} must have step > 0 and hi >= lo")
-        vals = []
-        v = lo
-        while v <= hi + 1e-9 * step:
-            vals.append(v)
-            v += step
-        return tuple(_as_number(x) for x in vals)
+            # exact decimal arithmetic, so that 0:0.3:0.1 ends at float("0.3")
+            lo, hi, step = (Decimal(p.strip()) for p in parts)
+        except InvalidOperation:
+            raise ConfigError(f"bad range {text!r}: not three decimal numbers") from None
+        if not all(x.is_finite() for x in (lo, hi, step)) or step <= 0 or hi < lo:
+            raise ConfigError(f"range {text!r} must have finite bounds, step > 0 and hi >= lo")
+        n = int((hi - lo) // step)
+        return tuple(_as_number(float(lo + i * step)) for i in range(n + 1))
     out = []
     for tok in text.split(","):
         tok = tok.strip()

@@ -8,10 +8,21 @@ bit-identical and a value does not depend on when it is drawn.
 
 Mobility, placement, distances, fading and connectivity do not depend on
 protocol state, so they are computed for a block of frames at once,
-vectorized across frames and relays (_Fleet.block, FrameLinks.fill). The
-frame loop then only runs arrivals, the protocol step on that frame's rows,
-and bookkeeping. A block holds _BLOCK_BYTES / (K * _CELL_BYTES) frames, about
-1 MiB of arrays whatever K is; the block size never changes a result.
+vectorized across frames and relays. The frame loop then only runs arrivals,
+the protocol step on that frame's rows, and bookkeeping. A block holds
+_BLOCK_BYTES / (K * _CELL_BYTES) frames, about 1 MiB of arrays whatever K is;
+the block size never changes a result.
+
+The loop pays only for busy frames. A frame whose arrivals leave the source
+queue and the relay bank empty is idle for every protocol, and so is every
+frame after it up to the next arrival, so the loop jumps over that span and
+books it as idle. The strip walk (_Fleet.walk) runs for every block up to
+the last stepped frame, because each frame's strips follow from the last;
+placement and fading (_Fleet.fill, FrameLinks.fill) are drawn for a block
+only from its first stepped frame on. A relay's strip changes in frames that
+are never read are carried, unplaced, to the next filled block. Runs that
+read every frame (connectivity tracking, the trace) skip nothing and fill
+every block from its first frame.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from .geometry import (
     walk_next,
 )
 from .protocols import (
+    PROTOCOL_NAMES,
     ROLE_BROADCAST,
     ROLE_FORWARD,
     ROLE_IDLE,
@@ -61,7 +73,6 @@ __all__ = [
     "StabilityVerdict",
     "RateBracket",
     "run",
-    "infinite_backlog_run",
     "assess_stability",
     "max_stable_rate",
     "replicate",
@@ -151,8 +162,16 @@ def validate_config(cfg: SimConfig) -> list[str]:
         raise ValueError("horizon must be >= 1")
     if effective_warmup(cfg) >= cfg.horizon:
         raise ValueError("warmup must be smaller than horizon")
-    if cfg.protocol.lower() not in ("obdwf", "ddf", "af", "afsc", "dfsc"):
-        raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    protocol = cfg.protocol.lower()
+    if protocol not in PROTOCOL_NAMES:
+        raise ValueError(f"unknown protocol {cfg.protocol!r}; expected one of {PROTOCOL_NAMES}")
+    if not cfg.direct_delivery and protocol not in ("ddf", "dfsc"):
+        raise ValueError(f"direct_delivery=False applies to ddf and dfsc only; "
+                         f"{protocol} cannot honour it")
+    if protocol == "dfsc" and cfg.n_decode > cfg.K:
+        raise ValueError(f"dfsc needs n_decode <= K, got n_decode={cfg.n_decode} with K={cfg.K}")
+    if cfg.abort_queue_threshold is not None and cfg.abort_queue_threshold < 0:
+        raise ValueError("abort_queue_threshold must be None or >= 0")
     if not cfg.infinite_backlog and cfg.arrival_pmf is None:
         raise ValueError("need an arrival pmf unless infinite_backlog is set")
     if cfg.pinned_positions is not None and len(cfg.pinned_positions) != cfg.K:
@@ -226,11 +245,13 @@ _CELL_BYTES = 128
 
 
 class _Fleet:
-    """Relay mobility, realized one block of frames at a time.
+    """Relay mobility: walked for every block of frames, placed on demand.
 
-    block(f0, n) returns the d^alpha rows of every relay toward the source and
-    toward the destination for frames f0 .. f0+n-1, each of shape (n, K), and
-    carries the strips and the last rows into the next block.
+    walk(f0, n) steps every relay through frames f0 .. f0+n-1. fill(r0) then
+    returns the d^alpha rows of every relay toward the source and toward the
+    destination for frames f0+r0 .. f0+n-1, each of shape (n - r0, K). The
+    engine walks every block up to its last stepped frame, and fills a block
+    only from its first stepped frame on.
 
     Under the random walk one (n, K) draw of walk uniforms gives every relay's
     strip in every frame of the block, through a transition table built from
@@ -238,11 +259,15 @@ class _Fleet:
     the new strip by rejection from the strip's bounding box: mover rank i of
     the m movers of frame f reads counter lanes (a*2m + i, a*2m + m + i) of the
     placement stream on attempt a. The lanes do not depend on any other
-    mover's outcome, so all changes of a block are placed together (attempt 0
-    for every change, each later attempt only for the rejects), and between
-    changes a relay keeps its point, so its d^alpha row is forward-filled. The
-    waypoint walk carries targets and pauses from frame to frame and is
-    stepped frame by frame inside the block; pinned relays repeat one row.
+    mover's outcome, and between changes a relay keeps its point, so its point
+    in frame f is a function of its last change up to f alone. Changes that
+    no filled frame reads are not placed: each relay carries its last
+    unplaced change as (change frame, mover rank, mover count, strip), and
+    fill() places the carried changes and the changes of the filled frames
+    together (attempt 0 for all, each later attempt only for the rejects),
+    then forward-fills the d^alpha rows. The waypoint walk carries targets and
+    pauses from frame to frame and is stepped frame by frame; pinned relays
+    repeat one row.
     """
 
     def __init__(self, cfg: SimConfig, geometry: DiskGeometry, rng: CounterRng):
@@ -253,6 +278,7 @@ class _Fleet:
         r = geometry.radius
         self.radius = r
         self.mobility = None if cfg.pinned_positions is not None else cfg.mobility
+        self.f0 = self.n = 0  # the walked block
         positions = np.empty((K, 2), dtype=np.float64)
         if self.mobility is None:
             for j, (x, y) in enumerate(cfg.pinned_positions):
@@ -268,9 +294,7 @@ class _Fleet:
         if isinstance(self.mobility, RandomWalk):
             M = cfg.num_regions
             bounds = np.asarray(geometry.boundaries)
-            self.regions = np.clip(
-                np.searchsorted(bounds, positions[:, 0], side="right"), 1, M
-            ).astype(np.int64)
+            regions = np.clip(np.searchsorted(bounds, positions[:, 0], side="right"), 1, M)
             self._box = np.array([region_box(geometry, k) for k in range(1, M + 1)])
             q = cfg.mobility.q
             self.q = q
@@ -282,6 +306,11 @@ class _Fleet:
             reps = np.tile(np.array([0.0, q, 1.0]), M + 1)
             self._next3 = 3 * np.asarray(walk_next(strips, reps, q, M), dtype=np.int64)
             self.resample = cfg.resample_within_region
+            # walk state of the block's frames, row 0 from the frame before it
+            self._s3 = 3 * regions.astype(np.int64)[None]
+            self._unread = False  # walked but never filled: its changes are carried
+            # each relay's last unplaced change: frame (-1: none), rank, count, strip
+            self._pend = np.full((4, K), -1, dtype=np.int64)
         elif isinstance(self.mobility, RandomWaypoint):
             self.positions = positions
             u = rng.uniforms(STREAM_INIT, 1, 3 * K)
@@ -294,10 +323,11 @@ class _Fleet:
             self._pause_set = np.asarray(m.pause_set, dtype=np.int64)
 
     def _dpow(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d^alpha toward the source and the destination of points p, shape (m, 2)."""
+        """d^alpha toward the source and the destination of points p, shape (..., 2)."""
         r2 = 2.0 * self.radius
-        d2s = p[:, 0] ** 2 + p[:, 1] ** 2
-        d2d = (p[:, 0] - r2) ** 2 + p[:, 1] ** 2
+        x, y = p[..., 0], p[..., 1]
+        d2s = x**2 + y**2
+        d2d = (x - r2) ** 2 + y**2
         np.maximum(d2s, _MIN_SEPARATION**2, out=d2s)
         np.maximum(d2d, _MIN_SEPARATION**2, out=d2d)
         if self.alpha == 4.0:
@@ -305,37 +335,88 @@ class _Fleet:
         half = 0.5 * self.alpha
         return d2s**half, d2d**half
 
-    def block(self, f0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def walk(self, f0: int, n: int) -> None:
+        """Step the relays through frames f0 .. f0+n-1, the block after the last."""
         if isinstance(self.mobility, RandomWalk):
-            return self._walk_block(f0, n)
+            if self._unread:
+                self._carry(self._moved(), self.f0)
+            self._unread = True
+            u = self.rng.block_uniforms(STREAM_WALK, f0, n, self.K)
+            code = (u >= self.q).astype(np.int64)
+            code += u >= 1.0 - self.q
+            s3 = np.empty((n + 1, self.K), dtype=np.int64)
+            s3[0] = self._s3[-1]
+            take, add = self._next3.take, np.add
+            cell = np.empty(self.K, dtype=np.int64)
+            rows = iter(s3)
+            prev = next(rows)
+            for row, c in zip(rows, code):
+                add(prev, c, out=cell)
+                take(cell, out=row, mode="clip")  # cell is always in range
+                prev = row
+            self._s3 = s3
+        elif isinstance(self.mobility, RandomWaypoint):
+            self._pos = np.empty((n, self.K, 2))
+            for b in range(n):
+                self._step_waypoint(f0 + b)
+                self._pos[b] = self.positions
+        self.f0, self.n = f0, n
+
+    def fill(self, r0: int) -> tuple[np.ndarray, np.ndarray]:
+        """d^alpha rows toward the source and the destination, frames f0+r0 .. f0+n-1."""
+        if isinstance(self.mobility, RandomWalk):
+            return self._fill_walk(r0)
         if isinstance(self.mobility, RandomWaypoint):
-            return self._waypoint_block(f0, n)
-        shape = (n, self.K)
+            return self._dpow(self._pos[r0:])
+        shape = (self.n - r0, self.K)
         return np.broadcast_to(self.src_dpow, shape), np.broadcast_to(self.dst_dpow, shape)
 
-    def _walk_block(self, f0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _moved(self) -> np.ndarray:
+        """(n, K): whether each relay is placed anew in each frame of the block."""
+        s3 = self._s3
+        return np.ones((self.n, self.K), dtype=bool) if self.resample else s3[1:] != s3[:-1]
+
+    def _carry(self, moved: np.ndarray, f0: int) -> None:
+        """Keep each relay's last change in rows `moved` (frames f0..) as unplaced."""
+        n = moved.shape[0]
+        j = np.flatnonzero(moved.any(axis=0))
+        if not j.size:
+            return
+        r = (n - 1) - moved[::-1].argmax(axis=0)[j]
+        cs = moved.cumsum(axis=1)
+        self._pend[:, j] = (f0 + r, cs[r, j] - 1, cs[r, -1], self._s3[n, j] // 3 - 1)
+
+    def _fill_walk(self, r0: int) -> tuple[np.ndarray, np.ndarray]:
         K = self.K
-        u = self.rng.block_uniforms(STREAM_WALK, f0, n, K)
-        code = (u >= self.q).view(np.int8) + (u >= 1.0 - self.q).view(np.int8)
-        s3 = np.empty((n + 1, K), dtype=np.int64)  # 3*strip; row 0 carries the last block's
-        s3[0] = 3 * self.regions
-        nxt3 = self._next3
-        for b in range(n):
-            nxt3.take(s3[b] + code[b], out=s3[b + 1])
-        self.regions = s3[n] // 3
-        moved = np.ones((n, K), dtype=bool) if self.resample else s3[1:] != s3[:-1]
+        moved = self._moved()
+        if r0:
+            self._carry(moved[:r0], self.f0)
+            moved = moved[r0:]
+        self._unread = False
+        m = moved.shape[0]
         rows, cols = np.nonzero(moved)  # frame-major, so mover rank follows relay order
-        src = np.empty((n + 1, K))
-        dst = np.empty((n + 1, K))
-        src[0] = self.src_dpow
+        carried = np.flatnonzero(self._pend[0] >= 0)
+        src = np.empty((m + 1, K))
+        dst = np.empty((m + 1, K))
+        src[0] = self.src_dpow  # row 0: each relay's point before frame f0+r0
         dst[0] = self.dst_dpow
-        if rows.size:
+        if rows.size or carried.size:
             movers = np.count_nonzero(moved, axis=1)
             rank = np.arange(rows.size) - (np.cumsum(movers) - movers)[rows]
-            points = self._place(f0, n, rows, rank, movers[rows], s3[rows + 1, cols] // 3 - 1)
-            src[1:][moved], dst[1:][moved] = self._dpow(points)
+            frame, crank, count, strip = self._pend[:, carried]
+            s3 = self._s3
+            ps, pd = self._dpow(self._place(
+                np.concatenate((frame, self.f0 + r0 + rows)),
+                np.concatenate((crank, rank)),
+                np.concatenate((count, movers[rows])),
+                np.concatenate((strip, s3[r0 + rows + 1, cols] // 3 - 1)),
+            ))
+            c = carried.size
+            src[0, carried], dst[0, carried] = ps[:c], pd[:c]
+            src[1:][moved], dst[1:][moved] = ps[c:], pd[c:]
+            self._pend[0, carried] = -1
         # forward-fill: each cell reads the row of its relay's last change
-        last = np.where(moved, np.arange(1, n + 1)[:, None], 0)
+        last = np.where(moved, np.arange(1, m + 1)[:, None], 0)
         np.maximum.accumulate(last, axis=0, out=last)
         relay = np.arange(K)
         src_rows = src[last, relay]
@@ -344,13 +425,13 @@ class _Fleet:
         self.dst_dpow = dst_rows[-1].copy()
         return src_rows, dst_rows
 
-    def _place(self, f0, n, rows, rank, movers, strip) -> np.ndarray:
+    def _place(self, frames, rank, movers, strip) -> np.ndarray:
         """Uniform points in each change's strip, by lane-keyed rejection."""
         r = self.radius
         x0, x1, hh = self._box[strip].T
-        bases = self.rng.frame_bases(STREAM_PLACE, f0, n)[rows]
-        out = np.empty((rows.size, 2))
-        todo = np.arange(rows.size)
+        bases = self.rng.frame_bases(STREAM_PLACE, frames)
+        out = np.empty((frames.size, 2))
+        todo = np.arange(frames.size)
         for attempt in range(200):
             m = movers[todo]
             lane = attempt * 2 * m + rank[todo]
@@ -366,14 +447,6 @@ class _Fleet:
             if not todo.size:
                 return out
         raise RuntimeError("strip rejection sampling failed to converge")
-
-    def _waypoint_block(self, f0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        src = np.empty((n, self.K))
-        dst = np.empty((n, self.K))
-        for b in range(n):
-            self._step_waypoint(f0 + b)
-            src[b], dst[b] = self._dpow(self.positions)
-        return src, dst
 
     def _step_waypoint(self, frame: int) -> None:
         m = self.mobility
@@ -487,6 +560,16 @@ class RunMetrics:
         return getattr(self, name)
 
 
+def _conserved(proto, source, relays: RelayBank, delivered: int, arrivals: int) -> bool:
+    """Packet conservation: each packet that entered is delivered, dropped or held."""
+    if isinstance(source, InfiniteBacklog):
+        held, entered = source.pending, source.minted
+    else:
+        held, entered = len(source), arrivals
+    held += len(relays) - getattr(proto, "source_overlap", 0)
+    return delivered + getattr(source, "drops", 0) + held == entered
+
+
 def run(cfg: SimConfig) -> RunMetrics:
     """Simulate one configuration for cfg.horizon frames."""
     validate_config(cfg)
@@ -517,13 +600,14 @@ def run(cfg: SimConfig) -> RunMetrics:
     links = FrameLinks(phy, direct_dist**cfg.alpha)
     block = max(1, _BLOCK_BYTES // (_CELL_BYTES * K))
 
-    def load_block(f0: int, n: int) -> None:
-        links.clear()  # free the finished block before drawing the next
-        src_dpow, dst_dpow = fleet.block(f0, n)
+    def fill_links(f: int) -> None:
+        """Draw the channel of frames f .. the end of the walked block."""
+        src_dpow, dst_dpow = fleet.fill(f - fleet.f0)
+        n = fleet.f0 + fleet.n - f
         links.fill(
-            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_SRC, f0, n, K)),
-            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DST, f0, n, K)),
-            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DIRECT, f0, n, 1)[:, 0]),
+            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_SRC, f, n, K)),
+            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DST, f, n, K)),
+            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DIRECT, f, n, 1)[:, 0]),
             src_dpow, dst_dpow,
         )
 
@@ -547,26 +631,29 @@ def run(cfg: SimConfig) -> RunMetrics:
     conservation_ok = True
     aborted = False
     trace: list | None = [] if cfg.record_trace else None
+    check_every = cfg.conservation_check_every
+
+    # A frame whose arrivals leave the source and the relay bank empty is idle
+    # for every protocol, and so is every later frame up to the next arrival:
+    # none steps, reads the channel or draws. Such a span is skipped, unless
+    # the run reads every frame (connectivity tracking, the trace).
+    skip_idle = not (backlog or cfg.track_connectivity or cfg.record_trace)
 
     # arrival batches precomputed in chunks to keep the frame loop lean
     chunk = 65536
-    batches = None
+    batches = busy = None
 
-    row = block_rows = 0
+    walked = fill0 = 0  # end of the walked blocks; first frame of the filled rows
     f = 0
     while f < horizon:
-        if row == block_rows:
-            block_rows = min(block, horizon - f)
-            load_block(f, block_rows)
-            row = 0
-        links.row = row
-        row += 1
         a_s = 0
         if not backlog:
-            if f % chunk == 0:
+            c = f % chunk
+            if c == 0:
                 u = rng.uniforms(STREAM_ARRIVAL, f // chunk, min(chunk, horizon - f))
                 batches = arrivals_dist.from_uniforms(u)
-            batch = int(batches[f % chunk])
+                busy = np.flatnonzero(batches)
+            batch = int(batches[c])
             for _ in range(batch):
                 pkt = Packet(next_id, f, bits)
                 next_id += 1
@@ -574,6 +661,29 @@ def run(cfg: SimConfig) -> RunMetrics:
                 if source.offer(pkt):
                     a_s += 1
                     arrival_frames[pkt.id] = f
+            if skip_idle and not len(source) and not relays.total_copies:
+                # idle up to the next arrival, the chunk's end or the horizon
+                i = busy.searchsorted(c, side="right")
+                g = f - c + (int(busy[i]) if i < busy.size else batches.size)
+                role_counts[ROLE_IDLE] += max(0, g - max(f, warmup))
+                samples_taken = (g + stride - 1) // stride  # the samples are 0
+                if (
+                    check_every  # one check stands for every check frame in f .. g-1
+                    and -(-f // check_every) * check_every < g
+                    and not _conserved(proto, source, relays, delivered_total, arrivals_count)
+                ):
+                    conservation_ok = False
+                f = g
+                continue
+
+        if f >= walked:  # walk every block up to f's, and fill f's from f on
+            links.clear()  # free the last filled rows before drawing more
+            while walked <= f:
+                fleet.walk(walked, min(block, horizon - walked))
+                walked += fleet.n
+            fill_links(f)
+            fill0 = f
+        links.row = f - fill0
 
         outcome = proto.step(links, source, relays, proto_stream.rebind(f))
 
@@ -615,19 +725,12 @@ def run(cfg: SimConfig) -> RunMetrics:
                 "relay_lens": tuple(len(q) for q in relays.queues),
             })
 
-        if cfg.conservation_check_every and f % cfg.conservation_check_every == 0:
-            overlap = getattr(proto, "source_overlap", 0)
-            if backlog:
-                in_src = source.pending
-                total_in = source.minted
-            else:
-                in_src = len(source)
-                total_in = arrivals_count
-            balance = (
-                delivered_total + getattr(source, "drops", 0) + in_src + len(relays) - overlap
-            )
-            if balance != total_in:
-                conservation_ok = False
+        if (
+            check_every
+            and f % check_every == 0
+            and not _conserved(proto, source, relays, delivered_total, arrivals_count)
+        ):
+            conservation_ok = False
 
         if (
             cfg.abort_queue_threshold is not None
@@ -684,11 +787,6 @@ def run(cfg: SimConfig) -> RunMetrics:
         conservation_ok=conservation_ok, aborted_unstable=aborted,
         stability=verdict, trace=trace, delays=np.asarray(delays, dtype=np.int64),
     )
-
-
-def infinite_backlog_run(cfg: SimConfig) -> RunMetrics:
-    """run() with the source queue never emptying; arrivals are ignored."""
-    return run(replace(cfg, infinite_backlog=True))
 
 
 # ---------- replication, bisection, sweeps ----------

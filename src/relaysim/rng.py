@@ -120,19 +120,16 @@ class CounterRng:
         """Uniforms at arbitrary counter positions; matches uniforms() pointwise."""
         return keyed_uniforms(np.uint64(self._base(stream, frame)), indices)
 
-    def frame_bases(self, stream: int, frame0: int, n_frames: int) -> np.ndarray:
-        """Stream bases of frames frame0 .. frame0+n_frames-1, for keyed_uniforms()."""
-        frames = np.arange(frame0, frame0 + n_frames, dtype=np.uint64)
+    def frame_bases(self, stream: int, frames) -> np.ndarray:
+        """Stream bases of an array of frames, for keyed_uniforms()."""
+        frames = np.asarray(frames, dtype=np.uint64)
         return _mix_vec(np.uint64(self._stream_keys[stream]) + frames * _GOLD_U)
 
     def block_uniforms(self, stream: int, frame0: int, n_frames: int, n: int) -> np.ndarray:
         """(n_frames, n) uniforms: row b equals uniforms(stream, frame0 + b, n)."""
-        return keyed_uniforms(self.frame_bases(stream, frame0, n_frames)[:, None],
+        frames = np.arange(frame0, frame0 + n_frames, dtype=np.uint64)
+        return keyed_uniforms(self.frame_bases(stream, frames)[:, None],
                               np.arange(n, dtype=np.uint64))
-
-    def exponentials(self, stream: int, frame: int, n: int, start: int = 0) -> np.ndarray:
-        """n unit-mean exponential variates."""
-        return -np.log(self.uniforms(stream, frame, n, start))
 
 
 class FrameStream:

@@ -102,6 +102,15 @@ def test_parse_values_range_floats():
     assert all(isinstance(v, float) for v in vals)
 
 
+def test_parse_values_range_steps_are_exact_decimals():
+    # each value is float() of its exact decimal value, not an accumulated sum
+    assert parse_values("0:0.3:0.1") == (0, 0.1, 0.2, 0.3)
+    assert parse_values("0.1:0.7:0.1") == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    vals = parse_values("0.005:0.1:0.005")
+    assert vals == tuple(float(f"0.{k:03d}") for k in range(5, 101, 5))
+    assert parse_values("1:2:0.3") == (1, 1.3, 1.6, 1.9)  # hi off the grid is left out
+
+
 def test_parse_values_comma_list():
     assert parse_values("60,110,160") == (60, 110, 160)
     assert parse_values("obdwf, ddf") == ("obdwf", "ddf")
@@ -110,7 +119,7 @@ def test_parse_values_comma_list():
 
 
 def test_parse_values_errors():
-    for bad in ("1:2", "1:2:3:4", "2:1:0.5", "1:2:0", "a:b:c", "", " , "):
+    for bad in ("1:2", "1:2:3:4", "2:1:0.5", "1:2:0", "a:b:c", "0:inf:1", "nan:1:1", "", " , "):
         with pytest.raises(ConfigError):
             parse_values(bad)
 

@@ -25,6 +25,7 @@ from relaysim.engine import (
     validate_config,
 )
 from relaysim.geometry import RandomWalk, RandomWaypoint
+from relaysim.protocols import PROTOCOL_NAMES
 
 
 def small_cfg(**kw):
@@ -63,8 +64,8 @@ def test_rerun_bit_identical():
 
 def test_lazy_positions_match_eager():
     # track_connectivity reads every frame's connectivity rows, while a run
-    # without it reads only the frames whose protocol step needs the channel.
-    # Both must give the same run.
+    # without it skips idle spans and draws a block's channel only from its
+    # first stepped frame on. Both must give the same run.
     cfg = small_cfg(K=40, horizon=15_000)
     lazy = run(cfg)
     eager = run(replace(cfg, track_connectivity=True))
@@ -267,11 +268,35 @@ def test_validate_config_errors_and_warnings():
     with pytest.raises(ValueError):
         validate_config(small_cfg(pinned_positions=((2.5, 0.0),)))  # needs K points
     with pytest.raises(ValueError):
+        validate_config(small_cfg(abort_queue_threshold=-1))
+    with pytest.raises(ValueError):
         effective_rate(SimConfig(K=1))  # the W*log2(K) rule needs K >= 2
     assert validate_config(small_cfg()) == []
     warnings = validate_config(small_cfg(packet_bits=999.0))
     assert len(warnings) == 1 and "packet_bits" in warnings[0]
     assert effective_packet_bits(small_cfg(packet_bits=999.0)) == 999.0
+
+
+def test_validate_config_rejects_dfsc_with_more_decoders_than_relays():
+    # dfsc waits for n_decode distinct decoders, so with n_decode > K it would
+    # broadcast forever and deliver nothing
+    cfg = SimConfig(K=3, protocol="dfsc", n_decode=5, rate=1e6, horizon=3_000,
+                    infinite_backlog=True, arrival_pmf=None)
+    with pytest.raises(ValueError, match="n_decode"):
+        run(cfg)
+    assert validate_config(replace(cfg, n_decode=3)) == []
+    assert validate_config(replace(cfg, protocol="ddf")) == []  # n_decode is dfsc's alone
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_validate_config_accepts_direct_delivery_off_only_where_honoured(protocol):
+    assert validate_config(small_cfg(protocol=protocol.upper())) == []
+    cfg = small_cfg(protocol=protocol, direct_delivery=False)
+    if protocol in ("ddf", "dfsc"):
+        assert validate_config(cfg) == []
+    else:
+        with pytest.raises(ValueError, match="direct_delivery"):
+            validate_config(cfg)
 
 
 def test_run_rejects_pinned_outside_disk():
