@@ -404,12 +404,11 @@ class _Fleet:
             movers = np.count_nonzero(moved, axis=1)
             rank = np.arange(rows.size) - (np.cumsum(movers) - movers)[rows]
             frame, crank, count, strip = self._pend[:, carried]
-            s3 = self._s3
             ps, pd = self._dpow(self._place(
                 np.concatenate((frame, self.f0 + r0 + rows)),
                 np.concatenate((crank, rank)),
                 np.concatenate((count, movers[rows])),
-                np.concatenate((strip, s3[r0 + rows + 1, cols] // 3 - 1)),
+                np.concatenate((strip, self._s3[r0 + rows + 1, cols] // 3 - 1)),
             ))
             c = carried.size
             src[0, carried], dst[0, carried] = ps[:c], pd[:c]
@@ -511,8 +510,8 @@ class RunMetrics:
     service_count: int
     rho_frames: int
     eta_frames: int
-    qs_traj: np.ndarray
-    relay_traj: np.ndarray
+    qs_traj: np.ndarray  # int32 source-queue samples, one every traj_stride frames
+    relay_traj: np.ndarray  # int32 relay-copy samples, same frames
     traj_stride: int
     conservation_ok: bool
     aborted_unstable: bool
@@ -615,8 +614,10 @@ def run(cfg: SimConfig) -> RunMetrics:
 
     stride = cfg.traj_stride or max(1, horizon // 65536)
     n_samples = (horizon + stride - 1) // stride
-    qs_traj = np.zeros(n_samples, dtype=np.int64)
-    relay_traj = np.zeros(n_samples, dtype=np.int64)
+    # int32 halves what callers that keep many runs hold; a sample too large
+    # for it raises on assignment
+    qs_traj = np.zeros(n_samples, dtype=np.int32)
+    relay_traj = np.zeros(n_samples, dtype=np.int32)
     samples_taken = 0
 
     arrivals_count = 0
@@ -650,8 +651,8 @@ def run(cfg: SimConfig) -> RunMetrics:
         if not backlog:
             c = f % chunk
             if c == 0:
-                u = rng.uniforms(STREAM_ARRIVAL, f // chunk, min(chunk, horizon - f))
-                batches = arrivals_dist.from_uniforms(u)
+                batches = arrivals_dist.from_uniforms(
+                    rng.uniforms(STREAM_ARRIVAL, f // chunk, min(chunk, horizon - f)))
                 busy = np.flatnonzero(batches)
             batch = int(batches[c])
             for _ in range(batch):
@@ -743,6 +744,9 @@ def run(cfg: SimConfig) -> RunMetrics:
         f += 1
 
     frames_done = f
+    # the stability fit below is the run's largest transient: free the loop's arrays
+    links.clear()
+    batches = busy = None
     measured_frames = max(frames_done - warmup, 0)
     delivered_bits = delivered_measured * bits
     throughput = delivered_bits / (measured_frames * cfg.tau) if measured_frames else 0.0
