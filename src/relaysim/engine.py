@@ -262,10 +262,10 @@ class _Fleet:
     mover's outcome, and between changes a relay keeps its point, so its point
     in frame f is a function of its last change up to f alone. Changes that
     no filled frame reads are not placed: each relay carries its last
-    unplaced change as (change frame, mover rank, mover count, strip), and
-    fill() places the carried changes and the changes of the filled frames
-    together (attempt 0 for all, each later attempt only for the rejects),
-    then forward-fills the d^alpha rows. The waypoint walk carries targets and
+    unplaced change as (change frame, mover rank, mover count), in the strip
+    it still holds, and fill() places the carried changes and the changes of
+    the filled frames together (attempt 0 for all, each later attempt only
+    for the rejects), then forward-fills the d^alpha rows. The waypoint walk carries targets and
     pauses from frame to frame and is stepped frame by frame; pinned relays
     repeat one row.
     """
@@ -309,8 +309,8 @@ class _Fleet:
             # walk state of the block's frames, row 0 from the frame before it
             self._s3 = 3 * regions.astype(np.int64)[None]
             self._unread = False  # walked but never filled: its changes are carried
-            # each relay's last unplaced change: frame (-1: none), rank, count, strip
-            self._pend = np.full((4, K), -1, dtype=np.int64)
+            # each relay's last unplaced change: frame (-1: none), mover rank, mover count
+            self._pend = np.full((3, K), -1, dtype=np.int64)
         elif isinstance(self.mobility, RandomWaypoint):
             self.positions = positions
             u = rng.uniforms(STREAM_INIT, 1, 3 * K)
@@ -384,42 +384,38 @@ class _Fleet:
             return
         r = (n - 1) - moved[::-1].argmax(axis=0)[j]
         cs = moved.cumsum(axis=1)
-        self._pend[:, j] = (f0 + r, cs[r, j] - 1, cs[r, -1], self._s3[n, j] // 3 - 1)
+        self._pend[:, j] = (f0 + r, cs[r, j] - 1, cs[r, -1])
 
     def _fill_walk(self, r0: int) -> tuple[np.ndarray, np.ndarray]:
         K = self.K
         moved = self._moved()
         if r0:
             self._carry(moved[:r0], self.f0)
-            moved = moved[r0:]
         self._unread = False
-        m = moved.shape[0]
-        rows, cols = np.nonzero(moved)  # frame-major, so mover rank follows relay order
-        carried = np.flatnonzero(self._pend[0] >= 0)
-        src = np.empty((m + 1, K))
-        dst = np.empty((m + 1, K))
-        src[0] = self.src_dpow  # row 0: each relay's point before frame f0+r0
+        # row 0 holds the carried changes: each relay's point before frame f0+r0
+        moved = np.vstack((self._pend[0] >= 0, moved[r0:]))
+        src = np.empty(moved.shape)
+        dst = np.empty(moved.shape)
+        src[0] = self.src_dpow
         dst[0] = self.dst_dpow
-        if rows.size or carried.size:
+        rows, cols = np.nonzero(moved)  # frame-major, so mover rank follows relay order
+        if rows.size:
             movers = np.count_nonzero(moved, axis=1)
+            frame = self.f0 + r0 - 1 + rows
             rank = np.arange(rows.size) - (np.cumsum(movers) - movers)[rows]
-            frame, crank, count, strip = self._pend[:, carried]
-            ps, pd = self._dpow(self._place(
-                np.concatenate((frame, self.f0 + r0 + rows)),
-                np.concatenate((crank, rank)),
-                np.concatenate((count, movers[rows])),
-                np.concatenate((strip, self._s3[r0 + rows + 1, cols] // 3 - 1)),
-            ))
-            c = carried.size
-            src[0, carried], dst[0, carried] = ps[:c], pd[:c]
-            src[1:][moved], dst[1:][moved] = ps[c:], pd[c:]
-            self._pend[0, carried] = -1
+            count = movers[rows]
+            c = movers[0]
+            frame[:c], rank[:c], count[:c] = self._pend[:, cols[:c]]
+            self._pend[0, cols[:c]] = -1
+            # a carried relay still holds the strip of its last change
+            strip = self._s3[r0 + rows, cols] // 3 - 1
+            src[moved], dst[moved] = self._dpow(self._place(frame, rank, count, strip))
         # forward-fill: each cell reads the row of its relay's last change
-        last = np.where(moved, np.arange(1, m + 1)[:, None], 0)
+        last = np.where(moved, np.arange(moved.shape[0])[:, None], 0)
         np.maximum.accumulate(last, axis=0, out=last)
         relay = np.arange(K)
-        src_rows = src[last, relay]
-        dst_rows = dst[last, relay]
+        src_rows = src[last[1:], relay]
+        dst_rows = dst[last[1:], relay]
         self.src_dpow = src_rows[-1].copy()
         self.dst_dpow = dst_rows[-1].copy()
         return src_rows, dst_rows
