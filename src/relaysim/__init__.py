@@ -42,6 +42,7 @@ from .config import (
     parse_values,
 )
 from .engine import (
+    ConservationFailure,
     RateBracket,
     RunMetrics,
     SimConfig,
@@ -83,7 +84,7 @@ __all__ = [
     "connect_threshold", "connection_probability_mc",
     "PRESET_NAMES", "PROTOCOL_CHOICES", "ConfigError", "ExperimentSpec",
     "apply_overrides", "load_config_file", "load_preset", "parse_values",
-    "RateBracket", "RunMetrics", "SimConfig", "StabilityVerdict",
+    "ConservationFailure", "RateBracket", "RunMetrics", "SimConfig", "StabilityVerdict",
     "SWEEP_AXES", "SweepRow", "aggregate_metric", "apply_axis",
     "assess_stability", "max_stable_rate", "replicate", "run", "sweep",
     "validate_config",

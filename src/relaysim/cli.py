@@ -42,7 +42,6 @@ from .engine import (
 __all__ = ["main", "build_parser"]
 
 _FRAME_METRICS = ("mean_delay", "delay_p50", "delay_p95", "delay_p99")
-_SWEEP_METRICS = ("throughput", "mean_delay", "delay_p95", "delivery_rate", "delivered")
 
 
 def _fmt(x) -> str:
@@ -100,8 +99,7 @@ def _sweep_rows(spec: ExperimentSpec) -> list[list]:
     table: list[list] = []
     for proto in protocols:
         base = replace(spec.sim, protocol=proto)
-        rows = sweep(base, spec.axis, spec.values, n_reps=spec.reps, jobs=spec.jobs,
-                     metrics=_SWEEP_METRICS)
+        rows = sweep(base, spec.axis, spec.values, n_reps=spec.reps, jobs=spec.jobs)
         for r in rows:
             table.append([spec.axis, r.value, r.protocol, r.metric,
                           r.mean, r.ci_low, r.ci_high, r.n_reps, r.seed_base])

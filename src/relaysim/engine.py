@@ -23,6 +23,13 @@ only from its first stepped frame on. A relay's strip changes in frames that
 are never read are carried, unplaced, to the next filled block. Runs that
 read every frame (connectivity tracking, the trace) skip nothing and fill
 every block from its first frame.
+
+Placement works on a block's strip changes as flat arrays: one rejection
+attempt for every change, then a few attempts at a time for the rejects,
+each change keeping its first accepted attempt; the d^alpha rows are then
+forward-filled from the changes by index. Packet conservation is checked
+every conservation_check_every frames; the first failing check is kept in
+RunMetrics.conservation_failure with its balance terms.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ __all__ = [
     "SimConfig",
     "RunMetrics",
     "StabilityVerdict",
+    "ConservationFailure",
     "RateBracket",
     "run",
     "assess_stability",
@@ -242,6 +250,11 @@ def assess_stability(
 # _CELL_BYTES) frames: 74 at K = 110, one frame from K = 8192 up.
 _BLOCK_BYTES = 1 << 20
 _CELL_BYTES = 128
+# Rejection placement: attempts drawn per retry round, and the attempt cap. An
+# edge strip accepts about 0.7 of its box, so after one round of 8 a reject is
+# still unplaced with probability about 1e-4.
+_PLACE_BATCH = 8
+_PLACE_ATTEMPTS = 200
 
 
 class _Fleet:
@@ -263,11 +276,18 @@ class _Fleet:
     in frame f is a function of its last change up to f alone. Changes that
     no filled frame reads are not placed: each relay carries its last
     unplaced change as (change frame, mover rank, mover count), in the strip
-    it still holds, and fill() places the carried changes and the changes of
-    the filled frames together (attempt 0 for all, each later attempt only
-    for the rejects), then forward-fills the d^alpha rows. The waypoint walk carries targets and
-    pauses from frame to frame and is stepped frame by frame; pinned relays
-    repeat one row.
+    it still holds.
+
+    fill() takes the changes of the filled frames from one flatnonzero, in
+    frame-major order, after the carried changes, which give their relays'
+    points before the first filled frame. Attempt 0 runs over all of them at
+    once; the rejects then draw _PLACE_BATCH attempts per round in one call
+    and keep the first accepted one, which is the point a loop over single
+    attempts would keep. The d^alpha rows are forward-filled by change index:
+    each cell holds the index of its relay's last change up to its frame (a
+    running maximum down the rows), and one take per side reads the d^alpha
+    values. The waypoint walk carries targets and pauses from frame to frame
+    and is stepped frame by frame; pinned relays repeat one row.
     """
 
     def __init__(self, cfg: SimConfig, geometry: DiskGeometry, rng: CounterRng):
@@ -290,12 +310,15 @@ class _Fleet:
             ang = 2.0 * np.pi * u[K:]
             positions[:, 0] = r + rad * np.cos(ang)
             positions[:, 1] = rad * np.sin(ang)
-        self.src_dpow, self.dst_dpow = self._dpow(positions)
+        self.src_dpow, self.dst_dpow = self._dpow(positions[:, 0], positions[:, 1])
         if isinstance(self.mobility, RandomWalk):
             M = cfg.num_regions
             bounds = np.asarray(geometry.boundaries)
             regions = np.clip(np.searchsorted(bounds, positions[:, 0], side="right"), 1, M)
-            self._box = np.array([region_box(geometry, k) for k in range(1, M + 1)])
+            # strip boxes indexed by walk state 3*strip: right edge, width (negative), half-height
+            x0, x1, hh = np.zeros((3, 3 * (M + 1)))
+            x0[3::3], x1[3::3], hh[3::3] = zip(*(region_box(geometry, k) for k in range(1, M + 1)))
+            self._box_x1, self._box_dx, self._box_hh = x1, x0 - x1, hh
             q = cfg.mobility.q
             self.q = q
             # walk_next reads u only through (u < q, u >= 1-q), so the code
@@ -322,10 +345,9 @@ class _Fleet:
             self.pause_left = np.zeros(K, dtype=np.int64)
             self._pause_set = np.asarray(m.pause_set, dtype=np.int64)
 
-    def _dpow(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d^alpha toward the source and the destination of points p, shape (..., 2)."""
+    def _dpow(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d^alpha toward the source and the destination of the points (x, y)."""
         r2 = 2.0 * self.radius
-        x, y = p[..., 0], p[..., 1]
         d2s = x**2 + y**2
         d2d = (x - r2) ** 2 + y**2
         np.maximum(d2s, _MIN_SEPARATION**2, out=d2s)
@@ -367,7 +389,8 @@ class _Fleet:
         if isinstance(self.mobility, RandomWalk):
             return self._fill_walk(r0)
         if isinstance(self.mobility, RandomWaypoint):
-            return self._dpow(self._pos[r0:])
+            pos = self._pos[r0:]
+            return self._dpow(pos[..., 0], pos[..., 1])
         shape = (self.n - r0, self.K)
         return np.broadcast_to(self.src_dpow, shape), np.broadcast_to(self.dst_dpow, shape)
 
@@ -392,56 +415,77 @@ class _Fleet:
         if r0:
             self._carry(moved[:r0], self.f0)
         self._unread = False
-        # row 0 holds the carried changes: each relay's point before frame f0+r0
-        moved = np.vstack((self._pend[0] >= 0, moved[r0:]))
-        src = np.empty(moved.shape)
-        dst = np.empty(moved.shape)
-        src[0] = self.src_dpow
-        dst[0] = self.dst_dpow
-        rows, cols = np.nonzero(moved)  # frame-major, so mover rank follows relay order
-        if rows.size:
-            movers = np.count_nonzero(moved, axis=1)
-            frame = self.f0 + r0 - 1 + rows
-            rank = np.arange(rows.size) - (np.cumsum(movers) - movers)[rows]
-            count = movers[rows]
-            c = movers[0]
-            frame[:c], rank[:c], count[:c] = self._pend[:, cols[:c]]
-            self._pend[0, cols[:c]] = -1
-            # a carried relay still holds the strip of its last change
-            strip = self._s3[r0 + rows, cols] // 3 - 1
-            src[moved], dst[moved] = self._dpow(self._place(frame, rank, count, strip))
-        # forward-fill: each cell reads the row of its relay's last change
-        last = np.where(moved, np.arange(moved.shape[0])[:, None], 0)
+        # the changes of the filled rows, frame-major, so mover rank follows relay order
+        B = self.n - r0
+        idx = np.flatnonzero(moved[r0:])
+        row = idx // K
+        starts = idx.searchsorted(np.arange(B + 1) * K)  # first change of each row
+        frame = row + (self.f0 + r0)
+        rank = np.arange(idx.size) - starts[row]
+        count = np.diff(starts)[row]
+        code = self._s3[r0 + 1:].reshape(-1).take(idx)
+        # carried changes go first: each gives its relay's point before frame f0+r0,
+        # in the strip it still holds
+        pend = self._pend
+        held = np.flatnonzero(pend[0] >= 0)
+        c = held.size
+        if c:
+            frame, rank, count = (np.concatenate((v, w)) for v, w in
+                                  zip(pend[:, held], (frame, rank, count)))
+            code = np.concatenate((self._s3[r0, held], code))
+            pend[0, held] = -1
+        src, dst = self._dpow(*self._place(frame, rank, count, code))
+        # forward-fill by value index: j is relay j's last value, K + i change i's;
+        # carried changes stand before row 0
+        last = np.zeros((B, K), dtype=np.intp)
+        last[0] = np.arange(K)
+        last[0, held] = np.arange(K, K + c)
+        np.put(last, idx, np.arange(K + c, K + c + idx.size))
         np.maximum.accumulate(last, axis=0, out=last)
-        relay = np.arange(K)
-        src_rows = src[last[1:], relay]
-        dst_rows = dst[last[1:], relay]
+        src_rows = np.concatenate((self.src_dpow, src)).take(last)
+        dst_rows = np.concatenate((self.dst_dpow, dst)).take(last)
         self.src_dpow = src_rows[-1].copy()
         self.dst_dpow = dst_rows[-1].copy()
         return src_rows, dst_rows
 
-    def _place(self, frames, rank, movers, strip) -> np.ndarray:
-        """Uniform points in each change's strip, by lane-keyed rejection."""
-        r = self.radius
-        x0, x1, hh = self._box[strip].T
+    def _place(self, frames, rank, movers, code) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform points (x, y) in each change's strip, by lane-keyed rejection;
+        `code` is the walk state 3*strip that each change moved into.
+
+        Attempt 0 runs over every change; the rejects then draw
+        _PLACE_BATCH attempts per round in one call and keep the first
+        accepted one. Lanes are keyed by attempt, so drawing attempts past
+        the first accepted one changes nothing.
+        """
         bases = self.rng.frame_bases(STREAM_PLACE, frames)
-        out = np.empty((frames.size, 2))
-        todo = np.arange(frames.size)
-        for attempt in range(200):
-            m = movers[todo]
-            lane = attempt * 2 * m + rank[todo]
-            b = bases[todo]
-            u = keyed_uniforms(np.concatenate((b, b)), np.concatenate((lane, lane + m)))
-            k = todo.size
-            x = x1[todo] + (x0[todo] - x1[todo]) * u[:k]  # u in (0,1]: right edge excluded
-            y = hh[todo] * (2.0 * u[k:] - 1.0)
-            ok = (x - r) ** 2 + y * y <= r * r
-            out[todo[ok], 0] = x[ok]
-            out[todo[ok], 1] = y[ok]
-            todo = todo[~ok]
-            if not todo.size:
-                return out
-        raise RuntimeError("strip rejection sampling failed to converge")
+        x1 = self._box_x1.take(code)
+        dx = self._box_dx.take(code)
+        hh = self._box_hh.take(code)
+        lanes = np.stack((rank, rank + movers))  # attempt a adds a*2m to both
+        x, y, ok = self._attempt(bases, lanes, x1, dx, hh)
+        todo = np.flatnonzero(~ok)
+        a0 = 1
+        while todo.size:
+            if a0 >= _PLACE_ATTEMPTS:
+                raise RuntimeError("strip rejection sampling failed to converge")
+            a = np.arange(a0, min(a0 + _PLACE_BATCH, _PLACE_ATTEMPTS))[:, None, None]
+            xa, ya, oka = self._attempt(bases[todo], lanes[:, todo] + a * (2 * movers[todo]),
+                                        x1[todo], dx[todo], hh[todo])
+            first = (oka.argmax(axis=0), np.arange(todo.size))
+            hit = oka[first]
+            x[todo[hit]] = xa[first][hit]
+            y[todo[hit]] = ya[first][hit]
+            todo = todo[~hit]
+            a0 += _PLACE_BATCH
+        return x, y
+
+    def _attempt(self, bases, lanes, x1, dx, hh):
+        """Points and acceptance of attempts whose (x, y) lanes are lanes[..., 0 or 1, :]."""
+        r = self.radius
+        u = keyed_uniforms(bases, lanes)
+        x = x1 + dx * u[..., 0, :]  # u in (0,1]: the strip's right edge is excluded
+        y = hh * (2.0 * u[..., 1, :] - 1.0)
+        return x, y, (x - r) ** 2 + y * y <= r * r
 
     def _step_waypoint(self, frame: int) -> None:
         m = self.mobility
@@ -479,6 +523,18 @@ class _Fleet:
 # ---------- run metrics ----------
 
 
+@dataclass(frozen=True)
+class ConservationFailure:
+    """The first checked frame at which packet conservation failed, and the
+    balance terms there: entered != delivered + dropped + held."""
+
+    frame: int
+    entered: int
+    delivered: int
+    dropped: int
+    held: int
+
+
 @dataclass
 class RunMetrics:
     """Outputs of one run; rate metrics cover the post-warmup window."""
@@ -509,11 +565,15 @@ class RunMetrics:
     qs_traj: np.ndarray  # int32 source-queue samples, one every traj_stride frames
     relay_traj: np.ndarray  # int32 relay-copy samples, same frames
     traj_stride: int
-    conservation_ok: bool
+    conservation_failure: ConservationFailure | None  # the first failed check, if any
     aborted_unstable: bool
     stability: StabilityVerdict | None
     delays: np.ndarray  # inclusive sojourns of measured deliveries, in delivery order
     trace: list | None = None
+
+    @property
+    def conservation_ok(self) -> bool:
+        return self.conservation_failure is None
 
     @property
     def broadcast_fraction(self) -> float | None:
@@ -555,14 +615,19 @@ class RunMetrics:
         return getattr(self, name)
 
 
-def _conserved(proto, source, relays: RelayBank, delivered: int, arrivals: int) -> bool:
+def _conservation_failure(
+    frame: int, proto, source, relays: RelayBank, delivered: int, arrivals: int
+) -> ConservationFailure | None:
     """Packet conservation: each packet that entered is delivered, dropped or held."""
     if isinstance(source, InfiniteBacklog):
         held, entered = source.pending, source.minted
     else:
         held, entered = len(source), arrivals
     held += len(relays) - getattr(proto, "source_overlap", 0)
-    return delivered + getattr(source, "drops", 0) + held == entered
+    dropped = getattr(source, "drops", 0)
+    if delivered + dropped + held == entered:
+        return None
+    return ConservationFailure(frame, entered, delivered, dropped, held)
 
 
 def run(cfg: SimConfig) -> RunMetrics:
@@ -625,7 +690,7 @@ def run(cfg: SimConfig) -> RunMetrics:
     role_counts = {ROLE_BROADCAST: 0, ROLE_FORWARD: 0, ROLE_IDLE: 0}
     src_conn = dst_conn = 0
     service_count = rho_frames = eta_frames = 0
-    conservation_ok = True
+    conservation_failure: ConservationFailure | None = None
     aborted = False
     trace: list | None = [] if cfg.record_trace else None
     check_every = cfg.conservation_check_every
@@ -664,12 +729,11 @@ def run(cfg: SimConfig) -> RunMetrics:
                 g = f - c + (int(busy[i]) if i < busy.size else batches.size)
                 role_counts[ROLE_IDLE] += max(0, g - max(f, warmup))
                 samples_taken = (g + stride - 1) // stride  # the samples are 0
-                if (
-                    check_every  # one check stands for every check frame in f .. g-1
-                    and -(-f // check_every) * check_every < g
-                    and not _conserved(proto, source, relays, delivered_total, arrivals_count)
-                ):
-                    conservation_ok = False
+                # one check stands for every check frame in f .. g-1: the state holds
+                check = -(-f // check_every) * check_every if check_every else g
+                if conservation_failure is None and check < g:
+                    conservation_failure = _conservation_failure(
+                        check, proto, source, relays, delivered_total, arrivals_count)
                 f = g
                 continue
 
@@ -722,12 +786,9 @@ def run(cfg: SimConfig) -> RunMetrics:
                 "relay_lens": tuple(len(q) for q in relays.queues),
             })
 
-        if (
-            check_every
-            and f % check_every == 0
-            and not _conserved(proto, source, relays, delivered_total, arrivals_count)
-        ):
-            conservation_ok = False
+        if conservation_failure is None and check_every and f % check_every == 0:
+            conservation_failure = _conservation_failure(
+                f, proto, source, relays, delivered_total, arrivals_count)
 
         if (
             cfg.abort_queue_threshold is not None
@@ -784,7 +845,7 @@ def run(cfg: SimConfig) -> RunMetrics:
         dst_conn_frames=dst_conn if cfg.track_connectivity else None,
         service_count=service_count, rho_frames=rho_frames, eta_frames=eta_frames,
         qs_traj=qs_traj, relay_traj=relay_traj, traj_stride=stride,
-        conservation_ok=conservation_ok, aborted_unstable=aborted,
+        conservation_failure=conservation_failure, aborted_unstable=aborted,
         stability=verdict, trace=trace, delays=np.asarray(delays, dtype=np.int64),
     )
 

@@ -67,14 +67,26 @@ def _mix(x: int) -> int:
 
 
 def _mix_vec(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _S30)) * _MIX1_U
-    x = (x ^ (x >> _S27)) * _MIX2_U
-    return x ^ (x >> _S31)
+    """SplitMix64 finalizer on a uint64 array, in place: x must be a temporary
+    of the caller's own, never an array passed in from outside."""
+    t = x >> _S30
+    x ^= t
+    x *= _MIX1_U
+    np.right_shift(x, _S27, out=t)
+    x ^= t
+    x *= _MIX2_U
+    np.right_shift(x, _S31, out=t)
+    x ^= t
+    return x
 
 
 def _unit(z: np.ndarray) -> np.ndarray:
-    """Top 53 bits of mixed counters as uniforms in (0, 1]."""
-    return ((z >> _S11) + _ONE_U).astype(np.float64) * _TWO53_INV
+    """Top 53 bits of mixed counters as uniforms in (0, 1]; consumes z."""
+    z >>= _S11
+    z += _ONE_U
+    u = z.astype(np.float64)
+    u *= _TWO53_INV
+    return u
 
 
 def keyed_uniforms(bases: np.ndarray, indices) -> np.ndarray:
@@ -83,7 +95,7 @@ def keyed_uniforms(bases: np.ndarray, indices) -> np.ndarray:
     `bases` comes from CounterRng.frame_bases; the two arrays broadcast, so
     each (frame, index) pair can differ. Matches uniforms_at() pointwise.
     """
-    return _unit(_mix_vec(bases + np.asarray(indices, dtype=np.uint64) * _GOLD_U))
+    return _unit(_mix_vec(np.asarray(bases + np.asarray(indices, dtype=np.uint64) * _GOLD_U)))
 
 
 class CounterRng:
@@ -123,7 +135,7 @@ class CounterRng:
     def frame_bases(self, stream: int, frames) -> np.ndarray:
         """Stream bases of an array of frames, for keyed_uniforms()."""
         frames = np.asarray(frames, dtype=np.uint64)
-        return _mix_vec(np.uint64(self._stream_keys[stream]) + frames * _GOLD_U)
+        return _mix_vec(np.asarray(np.uint64(self._stream_keys[stream]) + frames * _GOLD_U))
 
     def block_uniforms(self, stream: int, frame0: int, n_frames: int, n: int) -> np.ndarray:
         """(n_frames, n) uniforms: row b equals uniforms(stream, frame0 + b, n)."""

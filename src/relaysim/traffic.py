@@ -94,14 +94,13 @@ class Packet:
 class SourceQueue:
     """FIFO source buffer. capacity None means unbounded."""
 
-    __slots__ = ("capacity", "drops", "accepted", "_q")
+    __slots__ = ("capacity", "drops", "_q")
 
     def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity < 0:
             raise ValueError("capacity must be None or >= 0")
         self.capacity = capacity
         self.drops = 0
-        self.accepted = 0
         self._q: deque[Packet] = deque()
 
     def __len__(self) -> int:
@@ -113,7 +112,6 @@ class SourceQueue:
             self.drops += 1
             return False
         self._q.append(packet)
-        self.accepted += 1
         return True
 
     def head(self) -> Packet:

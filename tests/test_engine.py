@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relaysim import engine
 from relaysim.analysis import ServiceMoments, mx_g1_wait
 from relaysim.channel import GainTable
 from relaysim.engine import (
+    ConservationFailure,
     RateBracket,
     SimConfig,
     SWEEP_AXES,
@@ -24,8 +26,9 @@ from relaysim.engine import (
     sweep,
     validate_config,
 )
-from relaysim.geometry import RandomWalk, RandomWaypoint
-from relaysim.protocols import PROTOCOL_NAMES
+from relaysim.geometry import RandomWalk, RandomWaypoint, build_disk, region_box
+from relaysim.protocols import PROTOCOL_NAMES, ROLE_BROADCAST, FrameOutcome, Obdwf
+from relaysim.rng import STREAM_PLACE, CounterRng
 
 
 def small_cfg(**kw):
@@ -341,3 +344,83 @@ def test_abort_threshold_flags_unstable():
     assert m.frames < cfg.horizon
     assert m.stability is not None and not m.stability.stable
     assert m.stability.slope == math.inf
+
+
+def _place_oracle(rng, geometry, frame, rank, movers, strip):
+    """One change placed by the scalar rule: attempt a reads lanes
+    (a*2m + rank, a*2m + m + rank) and the first point inside the disk wins."""
+    x0, x1, hh = region_box(geometry, strip)
+    r = geometry.radius
+    for a in range(200):
+        lane = a * 2 * movers + rank
+        ux, uy = rng.uniforms_at(STREAM_PLACE, frame, np.array([lane, lane + movers]))
+        x = x1 + (x0 - x1) * ux
+        y = hh * (2.0 * uy - 1.0)
+        if (x - r) ** 2 + y * y <= r * r:
+            return x, y
+    raise AssertionError("no attempt accepted")
+
+
+@pytest.mark.parametrize("batch", [1, 3, engine._PLACE_BATCH])
+@pytest.mark.parametrize("num_regions", [5, 20])
+def test_place_matches_scalar_rejection(batch, num_regions, monkeypatch):
+    # 20 strips: the edge strips accept about 2/3 of their box, so the
+    # rejects of small batches retry over several rounds
+    monkeypatch.setattr(engine, "_PLACE_BATCH", batch)
+    cfg = SimConfig(K=40, num_regions=num_regions, seed=11)
+    geometry = build_disk(cfg.radius, num_regions)
+    rng = CounterRng(cfg.seed)
+    fleet = engine._Fleet(cfg, geometry, rng)
+    draw = np.random.default_rng(num_regions)
+    n = 1_500
+    frames = draw.integers(0, 2**40, n)
+    movers = draw.integers(1, cfg.K + 1, n)
+    rank = (draw.random(n) * movers).astype(np.int64)
+    edge = draw.choice(np.array([1, num_regions]), n)
+    strip = np.where(draw.random(n) < 0.5, edge, draw.integers(1, num_regions + 1, n))
+    x, y = fleet._place(frames, rank, movers, 3 * strip)  # walk state is 3 * strip
+    want = [_place_oracle(rng, geometry, int(f), int(i), int(m), int(s))
+            for f, i, m, s in zip(frames, rank, movers, strip)]
+    assert np.array_equal(np.column_stack((x, y)), want)
+
+
+class _LosesFirstPacket(Obdwf):
+    """obdwf that takes the first packet it sees out of the source and delivers it nowhere."""
+
+    lost_at = next_arrival = None
+
+    def step(self, links, source, relays, rng):
+        if self.lost_at is None and len(source):
+            self.lost_at = source.pop_head().arrival_frame
+            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True)
+        if self.next_arrival is None and len(source):
+            self.next_arrival = source.head().arrival_frame
+        return super().step(links, source, relays, rng)
+
+
+def test_conservation_failure_records_first_failing_frame(monkeypatch):
+    protos = []
+
+    def make(*args, **kw):
+        protos.append(_LosesFirstPacket())
+        return protos[-1]
+
+    monkeypatch.setattr(engine, "make_protocol", make)
+    every = 500
+    cfg = small_cfg(K=6, horizon=6_000, warmup=0, arrival_pmf=((1, 0.002),),
+                    conservation_check_every=every)
+    m = run(cfg)
+    lost = protos[0].lost_at
+    check = -(-lost // every) * every
+    # the system is empty from the loss to the next arrival, past the check frame
+    assert lost < check < protos[0].next_arrival
+    assert not m.conservation_ok
+    fail = m.conservation_failure
+    assert isinstance(fail, ConservationFailure)
+    assert fail.frame == check
+    assert fail.entered == fail.delivered + fail.dropped + fail.held + 1
+    assert 0 < fail.entered < m.arrivals
+    assert fail.dropped == 0
+    # the run above checks an idle span once, at its start; connectivity
+    # tracking steps every frame and checks each check frame as it passes
+    assert run(replace(cfg, track_connectivity=True)).conservation_failure == fail

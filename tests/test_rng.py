@@ -132,3 +132,23 @@ def test_keyed_uniforms_match_uniforms_at_per_frame():
     want = [rng.uniforms_at(STREAM_PLACE, int(f), np.array([i]))[0]
             for f, i in zip(frames, idx)]
     assert np.array_equal(got, want)
+
+
+def test_draws_leave_their_inputs_unchanged():
+    # the hash works in place on its own temporaries; placement retries reuse
+    # the frame bases, so a mutated input would corrupt later draws
+    rng = CounterRng(31)
+    frames = np.array([5, 9, 2**40], dtype=np.uint64)
+    bases = rng.frame_bases(STREAM_PLACE, frames)
+    idx = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    saved = frames.copy(), bases.copy(), idx.copy()
+    first = keyed_uniforms(bases, idx)
+    assert np.array_equal(keyed_uniforms(bases, idx), first)
+    assert np.array_equal(rng.frame_bases(STREAM_PLACE, frames), bases)
+    for got, want in zip((frames, bases, idx), saved):
+        assert np.array_equal(got, want)
+    # uniforms() adds the frame base to a cached lane array
+    block = rng.block_uniforms(STREAM_WALK, 3, 4, 6)
+    assert np.array_equal(rng.uniforms(STREAM_WALK, 4, 6), rng.uniforms(STREAM_WALK, 4, 6))
+    assert np.array_equal(rng.block_uniforms(STREAM_WALK, 3, 4, 6), block)
+    assert np.array_equal(block[1], rng.uniforms(STREAM_WALK, 4, 6))

@@ -54,7 +54,7 @@ def test_source_queue_fifo_and_drops():
     p = [Packet(i, 0, 10.0) for i in range(3)]
     assert q.offer(p[0]) and q.offer(p[1])
     assert not q.offer(p[2])  # newest packet loses
-    assert q.drops == 1 and q.accepted == 2 and len(q) == 2
+    assert q.drops == 1 and len(q) == 2
     assert q.head().id == 0
     assert q.pop_head().id == 0
     assert q.pop_head().id == 1
