@@ -671,7 +671,7 @@ def run(cfg: SimConfig) -> RunMetrics:
             src_dpow, dst_dpow,
         )
 
-    proto_stream = FrameStream(rng, STREAM_PROTO)
+    proto_stream = FrameStream(rng, STREAM_PROTO, block=block)
 
     stride = cfg.traj_stride or max(1, horizon // 65536)
     n_samples = (horizon + stride - 1) // stride

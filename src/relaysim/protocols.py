@@ -6,6 +6,11 @@ and the relay bank, and reports what happened as a FrameOutcome. At most one
 packet is delivered per frame, and a frame has exactly one role: a source
 broadcast, a relay forward, or idle.
 
+Steps make no numpy call per frame: relay sets are ints with relay j at bit
+j (connectivity rows packed once per block, the bank's nonempty mask), and
+what depends only on the channel (af/afsc pair decisions, the dfsc combined
+SNR) is computed for a whole block at once.
+
 Protocols:
   * Obdwf: relays with buffered packets contend whenever destination-connected
     and forwarding preempts the source; the source broadcasts otherwise, and
@@ -57,14 +62,18 @@ class FrameLinks:
     toward the source and the destination (B, K), the direct gain (B,), and
     the relays' d^alpha rows (B, K), and the connectivity of the whole block
     is thresholded there, so boundary cases are decided by one expression.
-    Before each protocol step the engine sets `row`; the methods below return
-    that frame's values.
+    Before each protocol step the engine sets `row`; the per-frame methods
+    return that frame's values. Views built once per block on first read
+    serve the block: *_bits() a frame's connected relays as an int (relay j
+    at bit j), and *_qualities() the (B, K) h / d^alpha, whose identity
+    protocols use as the key of what they derive from a block.
     """
 
     __slots__ = (
         "phy", "direct_dpow", "row", "_coef",
         "_h_src", "_h_dst", "_h_direct", "_src_dpow", "_dst_dpow",
         "_conn_src", "_conn_dst", "_conn_direct",
+        "_src_bits", "_dst_bits", "_q_src", "_q_dst",
     )
 
     def __init__(self, phy: PhyParams, direct_dpow: float):
@@ -90,6 +99,7 @@ class FrameLinks:
 
     def fill(self, h_src, h_dst, h_direct, src_dpow, dst_dpow) -> None:
         """Load a block: gains and d^alpha rows (B, K), direct gains (B,)."""
+        self.clear()
         coef = self._coef
         self._h_src = h_src
         self._h_dst = h_dst
@@ -105,6 +115,7 @@ class FrameLinks:
         self._h_src = self._h_dst = self._h_direct = None
         self._src_dpow = self._dst_dpow = None
         self._conn_src = self._conn_dst = self._conn_direct = None
+        self._src_bits = self._dst_bits = self._q_src = self._q_dst = None
 
     def src_gains(self) -> np.ndarray:
         return self._h_src[self.row]
@@ -124,17 +135,47 @@ class FrameLinks:
     def direct_connected(self) -> bool:
         return self._conn_direct[self.row]
 
+    def src_bits(self) -> int:
+        """The source-connected relays of this frame, relay j at bit j."""
+        if self._src_bits is None:
+            self._src_bits = _pack_rows(self._conn_src)
+        return self._src_bits[self.row]
+
+    def dst_bits(self) -> int:
+        if self._dst_bits is None:
+            self._dst_bits = _pack_rows(self._conn_dst)
+        return self._dst_bits[self.row]
+
+    def src_qualities(self) -> np.ndarray:
+        """Gain over d^alpha toward the source (for analog relaying), (B, K)."""
+        if self._q_src is None:
+            self._q_src = self._h_src / self._src_dpow
+        return self._q_src
+
+    def dst_qualities(self) -> np.ndarray:
+        if self._q_dst is None:
+            self._q_dst = self._h_dst / self._dst_dpow
+        return self._q_dst
+
     def src_quality(self) -> np.ndarray:
-        """Gain over d^alpha toward the source (for analog relaying)."""
-        return self._h_src[self.row] / self._src_dpow[self.row]
+        return self.src_qualities()[self.row]
 
     def dst_quality(self) -> np.ndarray:
-        return self._h_dst[self.row] / self._dst_dpow[self.row]
+        return self.dst_qualities()[self.row]
 
 
-@dataclass(frozen=True)
+def _pack_rows(conn: np.ndarray) -> list[int]:
+    """Each row of a (B, K) bool array as an int, column j at bit j."""
+    packed = np.packbits(conn, axis=1, bitorder="little")
+    w = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
+
+
+@dataclass(slots=True)
 class FrameOutcome:
-    """What one frame did, for metrics and trace checks."""
+    """What one frame did, for metrics and trace checks. Treat it as read-only:
+    outcomes with nothing to report are shared."""
 
     role: str
     delivered: tuple[int, ...] = ()
@@ -145,12 +186,37 @@ class FrameOutcome:
     forwarder: int | None = None
 
 
-def contention_select(contenders, rng) -> int:
-    """Uniform pick among contending relay indices; rng needs .random() in [0, 1)."""
-    n = len(contenders)
+_IDLE = FrameOutcome(ROLE_IDLE)
+_BROADCAST = FrameOutcome(ROLE_BROADCAST)
+_FORWARD = FrameOutcome(ROLE_FORWARD)
+
+
+def contention_select(contenders: int, rng) -> int:
+    """Uniform pick among the relays of a contender mask (relay j at bit j).
+
+    With u = rng.random() and n contenders, the k-th lowest set bit wins,
+    k = min(int(u * n), n - 1): the guard keeps u = 1.0 on the last contender.
+    """
+    n = contenders.bit_count()
     if n == 0:
         raise ValueError("no contenders")
-    return contenders[min(int(rng.random() * n), n - 1)]
+    for _ in range(min(int(rng.random() * n), n - 1)):
+        contenders &= contenders - 1
+    return (contenders & -contenders).bit_length() - 1
+
+
+def _offer(mask: int, pid: int, relays: RelayBank):
+    """Broadcast pid to the relays of mask, lowest first: the (relay, pid)
+    decodes the buffers kept, and the mask of those relays."""
+    decodes, kept = [], 0
+    while mask:
+        low = mask & -mask
+        j = low.bit_length() - 1
+        if relays.enqueue(j, pid):
+            decodes.append((j, pid))
+            kept |= low
+        mask ^= low
+    return tuple(decodes), kept
 
 
 class Obdwf:
@@ -161,9 +227,9 @@ class Obdwf:
 
     def step(self, links: FrameLinks, source, relays: RelayBank, rng) -> FrameOutcome:
         if relays.total_copies:
-            contenders = np.nonzero(links.dst_connected() & relays.nonempty)[0]
-            if contenders.size:
-                winner = contention_select(contenders.tolist(), rng)
+            contenders = links.dst_bits() & relays.nonempty
+            if contenders:
+                winner = contention_select(contenders, rng)
                 pid = relays.head(winner)
                 removed = relays.dequeue_id(pid)
                 return FrameOutcome(
@@ -171,22 +237,19 @@ class Obdwf:
                 )
         if len(source):
             pid = source.head().id
-            decodes = []
-            for j in np.nonzero(links.src_connected())[0]:
-                if relays.enqueue(int(j), pid):
-                    decodes.append((int(j), pid))
+            decodes, _ = _offer(links.src_bits(), pid, relays)
             if links.direct_connected():
                 removed = relays.dequeue_id(pid)
                 source.pop_head()
                 return FrameOutcome(
                     ROLE_BROADCAST, delivered=(pid,), source_dequeued=True,
-                    decodes=tuple(decodes), removed=tuple(removed),
+                    decodes=decodes, removed=tuple(removed),
                 )
             if decodes:
                 source.pop_head()
-                return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=tuple(decodes))
-            return FrameOutcome(ROLE_BROADCAST)
-        return FrameOutcome(ROLE_IDLE)
+                return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=decodes)
+            return _BROADCAST
+        return _IDLE
 
 
 class Ddf:
@@ -199,27 +262,26 @@ class Ddf:
     def reset(self):
         self.phase = 1
         self.pid: int | None = None
+        self.holders = 0  # mask of the relays that decoded the in-flight packet
         self.rho = 0  # broadcast-phase frames of the in-flight packet
         self.eta = 0  # forward-phase frames
 
     def step(self, links: FrameLinks, source, relays: RelayBank, rng) -> FrameOutcome:
         if self.phase == 2:
             self.eta += 1
-            holders = relays.holders_of(self.pid)
-            conn = links.dst_connected()
-            forwarder = next((j for j in sorted(holders) if conn[j]), None)
-            if forwarder is None:
-                return FrameOutcome(ROLE_FORWARD)
+            ready = self.holders & links.dst_bits()
+            if not ready:
+                return _FORWARD
             pid = self.pid
             removed = relays.dequeue_id(pid)
             svc = (self.rho, self.eta)
             self.reset()
             return FrameOutcome(
                 ROLE_FORWARD, delivered=(pid,), removed=tuple(removed),
-                service=svc, forwarder=forwarder,
+                service=svc, forwarder=(ready & -ready).bit_length() - 1,
             )
         if not len(source):
-            return FrameOutcome(ROLE_IDLE)
+            return _IDLE
         pid = source.head().id
         self.pid = pid
         self.rho += 1
@@ -230,53 +292,73 @@ class Ddf:
             return FrameOutcome(
                 ROLE_BROADCAST, delivered=(pid,), source_dequeued=True, service=svc
             )
-        decodes = []
-        for j in np.nonzero(links.src_connected())[0]:
-            if relays.enqueue(int(j), pid):
-                decodes.append((int(j), pid))
+        decodes, self.holders = _offer(links.src_bits(), pid, relays)
         if decodes:
             source.pop_head()
             self.phase = 2
-            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=tuple(decodes))
-        return FrameOutcome(ROLE_BROADCAST)
+            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=decodes)
+        return _BROADCAST
+
+
+def _af_decisions(q_listen, q_forward, phy: PhyParams, n_active: int):
+    """Decide the (listen, forward) frame pairs of matching (P, K) quality rows.
+
+    Each pair delivers when the best n_active effective SNRs sum past the rate
+    threshold; its forwarder is the strongest of them. Returns two lists of P.
+    """
+    snr = af_effective_snr(q_listen, q_forward, phy.power)
+    n = min(n_active, snr.shape[1])
+    top = np.argpartition(snr, -n, axis=1)[:, -n:]
+    best = np.take_along_axis(snr, top, axis=1)
+    ok = phy.xi * best.sum(axis=1) >= phy.beta - 1.0
+    forwarder = np.take_along_axis(top, best.argmax(axis=1)[:, None], axis=1)[:, 0]
+    return ok.tolist(), forwarder.tolist()
 
 
 class Af:
-    """Amplify-and-forward, best relay: two-frame listen/forward cycle."""
+    """Amplify-and-forward, best relay: two-frame listen/forward cycle.
+
+    Every adjacent frame pair of a block is decided in one pass; a pair that
+    straddles two blocks is decided on its own.
+    """
 
     n_active = 1
 
     def __init__(self):
+        self._block = (None, [], [])  # (block source qualities, ok, forwarder per listen row)
         self.reset()
 
     def reset(self):
         self.listening = True
         self.pid: int | None = None
-        self.stored_src_quality: np.ndarray | None = None
+        self._listen = None  # (block source qualities, row) of the listen frame
 
     def step(self, links: FrameLinks, source, relays: RelayBank, rng) -> FrameOutcome:
         if self.listening:
             if not len(source):
-                return FrameOutcome(ROLE_IDLE)
+                return _IDLE
             self.pid = source.head().id
-            self.stored_src_quality = np.array(links.src_quality(), dtype=np.float64)
+            self._listen = (links.src_qualities(), links.row)
             self.listening = False
-            return FrameOutcome(ROLE_BROADCAST)
-        snr = af_effective_snr(self.stored_src_quality, links.dst_quality(), links.phy.power)
-        n = min(self.n_active, snr.size)
-        top = np.argpartition(snr, -n)[-n:]
-        combined = links.phy.xi * float(snr[top].sum())
+            return _BROADCAST
+        q_src, r = self._listen
+        row = links.row
+        if q_src is links.src_qualities() and row == r + 1:
+            if self._block[0] is not q_src:
+                self._block = (q_src, *_af_decisions(
+                    q_src[:-1], links.dst_qualities()[1:], links.phy, self.n_active))
+            _, ok, forwarder = self._block
+        else:
+            ok, forwarder = _af_decisions(
+                q_src[r:r + 1], links.dst_qualities()[row:row + 1], links.phy, self.n_active)
+            r = 0
         pid = self.pid
-        self.listening = True
-        self.pid = None
-        self.stored_src_quality = None
-        if combined >= links.phy.beta - 1.0:
+        self.reset()
+        if ok[r]:
             source.pop_head()
             return FrameOutcome(
-                ROLE_FORWARD, delivered=(pid,), source_dequeued=True,
-                forwarder=int(top[np.argmax(snr[top])]),
-            )
-        return FrameOutcome(ROLE_FORWARD)
+                ROLE_FORWARD, delivered=(pid,), source_dequeued=True, forwarder=forwarder[r])
+        return _FORWARD
 
 
 class AfSc(Af):
@@ -302,9 +384,10 @@ class DfSc:
     def reset(self):
         self.phase = 1
         self.pid: int | None = None
-        self.decoded: list[int] = []
+        self.decoded = 0  # mask of the relays holding the in-flight packet
         self.rho = 0
         self.eta = 0
+        self._block = (None, [])  # (block destination qualities, success per row)
 
     @property
     def source_overlap(self) -> int:
@@ -314,18 +397,21 @@ class DfSc:
     def step(self, links: FrameLinks, source, relays: RelayBank, rng) -> FrameOutcome:
         if self.phase == 2:
             self.eta += 1
-            idx = np.asarray(self.decoded)
-            total = float(np.sum(links.dst_quality()[idx]))
-            ok = links.phy.power * links.phy.xi * total >= links.phy.beta - 1.0
-            if not ok:
-                return FrameOutcome(ROLE_FORWARD)
+            q_dst = links.dst_qualities()
+            if self._block[0] is not q_dst:
+                m, phy = self.decoded, links.phy
+                idx = [j for j in range(m.bit_length()) if m >> j & 1]  # ascending
+                total = q_dst[:, idx].sum(axis=1)
+                self._block = (q_dst, (phy.power * phy.xi * total >= phy.beta - 1.0).tolist())
+            if not self._block[1][links.row]:
+                return _FORWARD
             pid = self.pid
             removed = relays.dequeue_id(pid)
             svc = (self.rho, self.eta)
             self.reset()
             return FrameOutcome(ROLE_FORWARD, delivered=(pid,), removed=tuple(removed), service=svc)
         if not len(source):
-            return FrameOutcome(ROLE_IDLE)
+            return _IDLE
         pid = source.head().id
         self.pid = pid
         self.rho += 1
@@ -338,20 +424,13 @@ class DfSc:
                 ROLE_BROADCAST, delivered=(pid,), source_dequeued=True,
                 removed=tuple(removed), service=svc,
             )
-        decodes = []
-        conn = links.src_connected()
-        have = set(self.decoded)
-        for j in np.nonzero(conn)[0]:
-            j = int(j)
-            if j not in have and relays.enqueue(j, pid):
-                decodes.append((j, pid))
-                self.decoded.append(j)
-        if len(self.decoded) >= self.n_decode:
+        decodes, kept = _offer(links.src_bits() & ~self.decoded, pid, relays)
+        self.decoded |= kept
+        if self.decoded.bit_count() >= self.n_decode:
             source.pop_head()
             self.phase = 2
-            self.decoded.sort()
-            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=tuple(decodes))
-        return FrameOutcome(ROLE_BROADCAST, decodes=tuple(decodes))
+            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=decodes)
+        return FrameOutcome(ROLE_BROADCAST, decodes=decodes) if decodes else _BROADCAST
 
 
 PROTOCOL_NAMES = ("obdwf", "ddf", "af", "afsc", "dfsc")

@@ -145,15 +145,21 @@ class CounterRng:
 
 
 class FrameStream:
-    """random.Random-like view bound to one (stream, frame); draws are ordered by slot."""
+    """random.Random-like view bound to one (stream, frame); draws are ordered by slot.
 
-    __slots__ = ("_rng", "_stream", "_frame", "_slot")
+    Slot 0 is served from one block_uniforms() call per `block` frames, drawn
+    from the first frame that asks for it; later slots are drawn one by one.
+    """
 
-    def __init__(self, rng: CounterRng, stream: int, frame: int = 0):
+    __slots__ = ("_rng", "_stream", "_frame", "_slot", "_block", "_f0", "_first")
+
+    def __init__(self, rng: CounterRng, stream: int, frame: int = 0, block: int = 1):
         self._rng = rng
         self._stream = stream
         self._frame = frame
         self._slot = 0
+        self._block = block
+        self._f0, self._first = 0, []  # slot 0 of frames _f0, _f0 + 1, ...
 
     def rebind(self, frame: int) -> "FrameStream":
         self._frame = frame
@@ -161,6 +167,12 @@ class FrameStream:
         return self
 
     def random(self) -> float:
-        u = self._rng.uniform(self._stream, self._frame, self._slot)
-        self._slot += 1
-        return u
+        slot, frame = self._slot, self._frame
+        self._slot = slot + 1
+        if slot:
+            return self._rng.uniform(self._stream, frame, slot)
+        i = frame - self._f0
+        if not 0 <= i < len(self._first):
+            self._first = self._rng.block_uniforms(self._stream, frame, self._block, 1)[:, 0].tolist()
+            self._f0, i = frame, 0
+        return self._first[i]

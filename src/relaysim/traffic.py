@@ -154,7 +154,8 @@ class InfiniteBacklog:
 
 
 class RelayBank:
-    """K relay id-queues plus a holder index for O(copies) removal by id."""
+    """K relay id-queues, a holder index for O(copies) removal by id, and the
+    int mask `nonempty` with bit j set while relay j's queue holds an id."""
 
     __slots__ = ("K", "capacity", "drops", "queues", "holders", "nonempty", "total_copies")
 
@@ -168,7 +169,7 @@ class RelayBank:
         self.drops = 0
         self.queues: list[deque[int]] = [deque() for _ in range(K)]
         self.holders: dict[int, list[int]] = {}
-        self.nonempty = np.zeros(K, dtype=bool)
+        self.nonempty = 0
         self.total_copies = 0
 
     def __len__(self) -> int:
@@ -182,7 +183,7 @@ class RelayBank:
             return False
         q.append(packet_id)
         self.holders.setdefault(packet_id, []).append(relay)
-        self.nonempty[relay] = True
+        self.nonempty |= 1 << relay
         self.total_copies += 1
         return True
 
@@ -202,7 +203,7 @@ class RelayBank:
             q = self.queues[relay]
             q.remove(packet_id)
             if not q:
-                self.nonempty[relay] = False
+                self.nonempty &= ~(1 << relay)
             self.total_copies -= 1
             removed.append((relay, packet_id))
         return removed

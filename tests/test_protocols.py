@@ -391,11 +391,14 @@ def test_frame_invariants_random_grid(name):
 
 
 def test_contention_select_bounds():
-    assert contention_select([5, 7, 9], ScriptRng([0.0])) == 5
-    assert contention_select([5, 7, 9], ScriptRng([0.999999])) == 9
-    assert contention_select([5], ScriptRng([0.5])) == 5
+    mask = (1 << 5) | (1 << 7) | (1 << 9)
+    assert contention_select(mask, ScriptRng([0.0])) == 5
+    assert contention_select(mask, ScriptRng([0.5])) == 7
+    assert contention_select(mask, ScriptRng([0.999999])) == 9
+    assert contention_select(mask, ScriptRng([1.0])) == 9  # uniforms lie in (0, 1]
+    assert contention_select(1 << 5, ScriptRng([0.5])) == 5
     with pytest.raises(ValueError):
-        contention_select([], ScriptRng([0.5]))
+        contention_select(0, ScriptRng([0.5]))
 
 
 def test_make_protocol_names():

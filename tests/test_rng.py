@@ -116,6 +116,17 @@ def test_frame_stream_rebind_resets_slot():
     assert fs.random() == rng.uniform(STREAM_WALK, 9, 0)
 
 
+def test_frame_stream_block_draws_match_scalar_draws():
+    # slot 0 comes from block draws of 4 frames, refilled whenever a frame
+    # falls outside the drawn window, in whatever order frames are bound
+    rng = CounterRng(11)
+    fs = FrameStream(rng, STREAM_WALK, block=4)
+    for frame in (0, 1, 3, 4, 9, 2, 10, 10):
+        fs.rebind(frame)
+        assert [fs.random() for _ in range(3)] == [rng.uniform(STREAM_WALK, frame, i)
+                                                   for i in range(3)]
+
+
 def test_block_uniforms_match_per_frame_rows():
     rng = CounterRng(31)
     block = rng.block_uniforms(STREAM_FADE_SRC, 2**33 - 3, 9, 40)

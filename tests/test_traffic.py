@@ -92,12 +92,12 @@ def test_relay_bank_enqueue_dequeue():
     assert len(bank) == 2  # distinct ids
     assert bank.head(0) == 10
     assert sorted(bank.holders_of(10)) == [0, 2]
-    assert list(bank.nonempty) == [True, False, True]
+    assert bank.nonempty == 0b101
     removed = bank.dequeue_id(10)
     assert sorted(removed) == [(0, 10), (2, 10)]
     assert bank.total_copies == 1
     assert bank.head(0) == 11  # order of the survivors is preserved
-    assert list(bank.nonempty) == [True, False, False]
+    assert bank.nonempty == 0b001
     assert bank.dequeue_id(999) == []
 
 
