@@ -16,13 +16,14 @@ the block size never changes a result.
 The loop pays only for busy frames. A frame whose arrivals leave the source
 queue and the relay bank empty is idle for every protocol, and so is every
 frame after it up to the next arrival, so the loop jumps over that span and
-books it as idle. The strip walk (_Fleet.walk) runs for every block up to
-the last stepped frame, because each frame's strips follow from the last;
-placement and fading (_Fleet.fill, FrameLinks.fill) are drawn for a block
-only from its first stepped frame on. A relay's strip changes in frames that
-are never read are carried, unplaced, to the next filled block. Runs that
-read every frame (connectivity tracking, the trace) skip nothing and fill
-every block from its first frame.
+books it as idle. Each frame's strips follow from the last, so the strip walk
+still runs for every frame: _Fleet.skip walks the frames that no step reads
+in chunks of about 1 MiB of walk arrays, keeping only each relay's last strip
+change of each chunk, unplaced; the block that starts at the next stepped
+frame is then walked (_Fleet.walk) and its placement and fading drawn
+(_Fleet.fill, FrameLinks.fill), the carried changes placed first. The walk
+steps _WALK_GROUP frames per lookup in tables built from walk_next. Runs that
+read every frame (connectivity tracking, the trace) skip nothing.
 
 Placement works on a block's strip changes as flat arrays: one rejection
 attempt for every change, then a few attempts at a time for the rejects,
@@ -168,8 +169,15 @@ def validate_config(cfg: SimConfig) -> list[str]:
         raise ValueError("K must be >= 1")
     if cfg.horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if cfg.warmup is not None and cfg.warmup < 0:
+        raise ValueError(f"warmup must be None or >= 0, got {cfg.warmup}")
     if effective_warmup(cfg) >= cfg.horizon:
         raise ValueError("warmup must be smaller than horizon")
+    if cfg.traj_stride is not None and cfg.traj_stride < 0:
+        raise ValueError(f"traj_stride must be None, 0 (both: auto) or >= 1, got {cfg.traj_stride}")
+    if cfg.conservation_check_every < 0:
+        raise ValueError(f"conservation_check_every must be >= 0 (0: never), "
+                         f"got {cfg.conservation_check_every}")
     protocol = cfg.protocol.lower()
     if protocol not in PROTOCOL_NAMES:
         raise ValueError(f"unknown protocol {cfg.protocol!r}; expected one of {PROTOCOL_NAMES}")
@@ -250,6 +258,14 @@ def assess_stability(
 # _CELL_BYTES) frames: 74 at K = 110, one frame from K = 8192 up.
 _BLOCK_BYTES = 1 << 20
 _CELL_BYTES = 128
+# Strip walk: frames stepped per table lookup, and the bytes per (frame, relay)
+# cell of walking frames that no step reads (walk draws and their temporaries,
+# states and carry: 21-24 bytes under tracemalloc), which size their chunks
+# from _BLOCK_BYTES: 397 frames at K = 110. Six frames per lookup make the
+# tables 3.6 times larger; in saturation runs that moved glibc's heap into
+# trimming, and the af decisions faulted their memory in again every block.
+_WALK_GROUP = 5
+_WALK_CELL_BYTES = 24
 # Rejection placement: attempts drawn per retry round, and the attempt cap. An
 # edge strip accepts about 0.7 of its box, so after one round of 8 a reject is
 # still unplaced with probability about 1e-4.
@@ -258,33 +274,41 @@ _PLACE_ATTEMPTS = 200
 
 
 class _Fleet:
-    """Relay mobility: walked for every block of frames, placed on demand.
+    """Relay mobility: walked for every frame, placed on demand.
 
-    walk(f0, n) steps every relay through frames f0 .. f0+n-1. fill(r0) then
-    returns the d^alpha rows of every relay toward the source and toward the
-    destination for frames f0+r0 .. f0+n-1, each of shape (n - r0, K). The
-    engine walks every block up to its last stepped frame, and fills a block
-    only from its first stepped frame on.
+    skip(f0, n) steps every relay through frames f0 .. f0+n-1, which no step
+    reads. walk(f0, n) steps them through the block f0 .. f0+n-1, and fill()
+    then returns the d^alpha rows of every relay toward the source and toward
+    the destination for the block's frames, each of shape (n, K). The engine
+    skips the frames up to the first stepped frame of a block and walks and
+    fills the block from that frame on.
 
     Under the random walk one (n, K) draw of walk uniforms gives every relay's
-    strip in every frame of the block, through a transition table built from
-    walk_next. A relay whose strip changes in frame f is placed uniformly in
-    the new strip by rejection from the strip's bounding box: mover rank i of
-    the m movers of frame f reads counter lanes (a*2m + i, a*2m + m + i) of the
+    strip in every frame, through transition tables built from walk_next.
+    Each uniform decides a step through its code [u >= q] + [u >= 1-q]; the
+    codes of _WALK_GROUP frames form a base-3 number, first frame lowest, and
+    table i maps a walk state (S*strip, S = 3**_WALK_GROUP) plus that number
+    to the state i+1 frames on. So one add and one take per group give each
+    group's start state, and _WALK_GROUP takes give every row. Skipped frames
+    are walked in chunks of _BLOCK_BYTES / (K * _WALK_CELL_BYTES) frames.
+
+    A relay whose strip changes in frame f is placed uniformly in the new
+    strip by rejection from the strip's bounding box: mover rank i of the m
+    movers of frame f reads counter lanes (a*2m + i, a*2m + m + i) of the
     placement stream on attempt a. The lanes do not depend on any other
     mover's outcome, and between changes a relay keeps its point, so its point
-    in frame f is a function of its last change up to f alone. Changes that
-    no filled frame reads are not placed: each relay carries its last
-    unplaced change as (change frame, mover rank, mover count), in the strip
-    it still holds.
+    in frame f is a function of its last change up to f alone. Changes in
+    skipped frames are not placed: after each chunk every relay that changed
+    strip in it carries its last change as (change frame, mover rank, mover
+    count), in the strip it still holds.
 
-    fill() takes the changes of the filled frames from one flatnonzero, in
+    fill() takes the changes of the block from one flatnonzero, in
     frame-major order, after the carried changes, which give their relays'
-    points before the first filled frame. Attempt 0 runs over all of them at
-    once; the rejects then draw _PLACE_BATCH attempts per round in one call
-    and keep the first accepted one, which is the point a loop over single
-    attempts would keep. The d^alpha rows are forward-filled by change index:
-    each cell holds the index of its relay's last change up to its frame (a
+    points before the block. Attempt 0 runs over all of them at once; the
+    rejects then draw _PLACE_BATCH attempts per round in one call and keep
+    the first accepted one, which is the point a loop over single attempts
+    would keep. The d^alpha rows are forward-filled by change index: each
+    cell holds the index of its relay's last change up to its frame (a
     running maximum down the rows), and one take per side reads the d^alpha
     values. The waypoint walk carries targets and pauses from frame to frame
     and is stepped frame by frame; pinned relays repeat one row.
@@ -315,23 +339,32 @@ class _Fleet:
             M = cfg.num_regions
             bounds = np.asarray(geometry.boundaries)
             regions = np.clip(np.searchsorted(bounds, positions[:, 0], side="right"), 1, M)
-            # strip boxes indexed by walk state 3*strip: right edge, width (negative), half-height
-            x0, x1, hh = np.zeros((3, 3 * (M + 1)))
-            x0[3::3], x1[3::3], hh[3::3] = zip(*(region_box(geometry, k) for k in range(1, M + 1)))
-            self._box_x1, self._box_dx, self._box_hh = x1, x0 - x1, hh
             q = cfg.mobility.q
             self.q = q
             # walk_next reads u only through (u < q, u >= 1-q), so the code
             # c = [u >= q] + [u >= 1-q] decides the step; representatives of the
-            # three codes are u = 0, q and 1. The table maps 3*strip + c to
-            # 3*next strip, so the walk state is kept as 3*strip.
+            # three codes are u = 0, q and 1. next3 maps 3*strip + c to
+            # 3*next strip; table i is next3 composed over the digits 0..i of
+            # a group's base-3 code, from walk state S*strip.
             strips = np.repeat(np.arange(M + 1, dtype=np.int64), 3)
             reps = np.tile(np.array([0.0, q, 1.0]), M + 1)
-            self._next3 = 3 * np.asarray(walk_next(strips, reps, q, M), dtype=np.int64)
+            next3 = 3 * np.asarray(walk_next(strips, reps, q, M), dtype=np.int64)
+            S = 3**_WALK_GROUP
+            digits = np.tile(np.arange(S), M + 1)
+            state3 = np.repeat(3 * np.arange(M + 1), S)
+            self._tables = np.empty((_WALK_GROUP, (M + 1) * S), dtype=np.int64)
+            for table in self._tables:
+                state3 = next3.take(state3 + digits % 3)
+                digits //= 3
+                np.multiply(state3, S // 3, out=table)
+            self._pow3 = 3.0 ** np.arange(_WALK_GROUP)
+            # strip boxes indexed by walk state: right edge, width (negative), half-height
+            x0, x1, hh = np.zeros((3, M + 1))
+            x0[1:], x1[1:], hh[1:] = zip(*(region_box(geometry, k) for k in range(1, M + 1)))
+            self._box_x1, self._box_dx, self._box_hh = (np.repeat(v, S) for v in (x1, x0 - x1, hh))
             self.resample = cfg.resample_within_region
-            # walk state of the block's frames, row 0 from the frame before it
-            self._s3 = 3 * regions.astype(np.int64)[None]
-            self._unread = False  # walked but never filled: its changes are carried
+            # walk state of the walked frames, row 0 from the frame before them
+            self._s = S * regions.astype(np.int64)[None]
             # each relay's last unplaced change: frame (-1: none), mover rank, mover count
             self._pend = np.full((3, K), -1, dtype=np.int64)
         elif isinstance(self.mobility, RandomWaypoint):
@@ -358,25 +391,9 @@ class _Fleet:
         return d2s**half, d2d**half
 
     def walk(self, f0: int, n: int) -> None:
-        """Step the relays through frames f0 .. f0+n-1, the block after the last."""
+        """Step the relays through the block f0 .. f0+n-1 and keep it for fill()."""
         if isinstance(self.mobility, RandomWalk):
-            if self._unread:
-                self._carry(self._moved(), self.f0)
-            self._unread = True
-            u = self.rng.block_uniforms(STREAM_WALK, f0, n, self.K)
-            code = (u >= self.q).astype(np.int64)
-            code += u >= 1.0 - self.q
-            s3 = np.empty((n + 1, self.K), dtype=np.int64)
-            s3[0] = self._s3[-1]
-            take, add = self._next3.take, np.add
-            cell = np.empty(self.K, dtype=np.int64)
-            rows = iter(s3)
-            prev = next(rows)
-            for row, c in zip(rows, code):
-                add(prev, c, out=cell)
-                take(cell, out=row, mode="clip")  # cell is always in range
-                prev = row
-            self._s3 = s3
+            self._s = self._walk_states(f0, n, self._s[-1])
         elif isinstance(self.mobility, RandomWaypoint):
             self._pos = np.empty((n, self.K, 2))
             for b in range(n):
@@ -384,47 +401,96 @@ class _Fleet:
                 self._pos[b] = self.positions
         self.f0, self.n = f0, n
 
-    def fill(self, r0: int) -> tuple[np.ndarray, np.ndarray]:
-        """d^alpha rows toward the source and the destination, frames f0+r0 .. f0+n-1."""
+    def skip(self, f0: int, n: int) -> None:
+        """Step the relays through frames f0 .. f0+n-1, which no step reads."""
         if isinstance(self.mobility, RandomWalk):
-            return self._fill_walk(r0)
+            chunk = max(1, _BLOCK_BYTES // (_WALK_CELL_BYTES * self.K))
+            s, self._s = self._s, None
+            for c0 in range(f0, f0 + n, chunk):
+                s0 = s[-1].copy()
+                del s  # only the last state is kept while the next chunk is drawn
+                s = self._walk_states(c0, min(chunk, f0 + n - c0), s0)
+                self._carry(self._moved(s), c0)
+            self._s = s[-1:].copy()
+        elif isinstance(self.mobility, RandomWaypoint):
+            for f in range(f0, f0 + n):
+                self._step_waypoint(f)
+
+    def fill(self) -> tuple[np.ndarray, np.ndarray]:
+        """d^alpha rows toward the source and the destination, frames f0 .. f0+n-1."""
+        if isinstance(self.mobility, RandomWalk):
+            return self._fill_walk()
         if isinstance(self.mobility, RandomWaypoint):
-            pos = self._pos[r0:]
-            return self._dpow(pos[..., 0], pos[..., 1])
-        shape = (self.n - r0, self.K)
+            return self._dpow(self._pos[..., 0], self._pos[..., 1])
+        shape = (self.n, self.K)
         return np.broadcast_to(self.src_dpow, shape), np.broadcast_to(self.dst_dpow, shape)
 
-    def _moved(self) -> np.ndarray:
-        """(n, K): whether each relay is placed anew in each frame of the block."""
-        s3 = self._s3
-        return np.ones((self.n, self.K), dtype=bool) if self.resample else s3[1:] != s3[:-1]
+    def _walk_states(self, f0: int, n: int, s0: np.ndarray) -> np.ndarray:
+        """(n+1, K) walk states: s0, then those of frames f0 .. f0+n-1."""
+        K, r = self.K, _WALK_GROUP
+        # The codes are held until the states are written: freed earlier, they
+        # let glibc trim the heap, and later allocations (the af decisions)
+        # faulted it in again, about 1,200 page faults per 1,500-frame af run.
+        code = self.rng.block_uniforms(STREAM_WALK, f0, n, K)
+        up = code >= 1.0 - self.q
+        np.greater_equal(code, self.q, out=code)  # the uniforms become their codes
+        code += up
+        del up
+        # each group's base-3 code, first frame lowest; the last group may be short
+        G, rem = divmod(n, r)
+        combo = np.empty((G + (rem > 0), K))
+        np.matmul(self._pow3, code[: n - rem].reshape(G, r, K), out=combo[:G])
+        if rem:
+            np.matmul(self._pow3[:rem], code[n - rem :], out=combo[G])
+        # plus each group's start state, the last table's entry for the group before
+        idx = combo.astype(np.int64)
+        idx[0] += s0
+        take, add = self._tables[-1].take, np.add
+        start = np.empty(K, dtype=np.int64)
+        rows = iter(idx)
+        prev = next(rows)
+        for row in rows:
+            take(prev, out=start, mode="clip")  # idx is always in range
+            add(row, start, out=row)
+            prev = row
+        # frame i of every group (rows 1+i, 1+i+r, ...) from table i
+        s = np.empty((n + 1, K), dtype=np.int64)
+        s[0] = s0
+        for i, table in enumerate(self._tables):
+            out = s[1 + i :: r]
+            table.take(idx[: len(out)], out=out, mode="clip")
+        return s
+
+    def _moved(self, s: np.ndarray) -> np.ndarray:
+        """(n, K): whether each relay is placed anew in each frame of the states s."""
+        return np.ones((len(s) - 1, self.K), dtype=bool) if self.resample else s[1:] != s[:-1]
 
     def _carry(self, moved: np.ndarray, f0: int) -> None:
         """Keep each relay's last change in rows `moved` (frames f0..) as unplaced."""
-        n = moved.shape[0]
+        n, K = moved.shape
         j = np.flatnonzero(moved.any(axis=0))
         if not j.size:
             return
         r = (n - 1) - moved[::-1].argmax(axis=0)[j]
-        cs = moved.cumsum(axis=1)
-        self._pend[:, j] = (f0 + r, cs[r, j] - 1, cs[r, -1])
+        # movers counted flat, frame-major, from the earliest last change on:
+        # cs[i] counts the moves among the first i cells
+        r0 = int(r.min())
+        cs = np.zeros(moved[r0:].size + 1, dtype=np.int32)
+        np.cumsum(moved[r0:], out=cs[1:])
+        at = (r - r0) * K
+        self._pend[:, j] = (f0 + r, cs[at + j] - cs[at], cs[at + K] - cs[at])
 
-    def _fill_walk(self, r0: int) -> tuple[np.ndarray, np.ndarray]:
-        K = self.K
-        moved = self._moved()
-        if r0:
-            self._carry(moved[:r0], self.f0)
-        self._unread = False
-        # the changes of the filled rows, frame-major, so mover rank follows relay order
-        B = self.n - r0
-        idx = np.flatnonzero(moved[r0:])
+    def _fill_walk(self) -> tuple[np.ndarray, np.ndarray]:
+        K, B, s = self.K, self.n, self._s
+        # the changes of the block, frame-major, so mover rank follows relay order
+        idx = np.flatnonzero(self._moved(s))
         row = idx // K
         starts = idx.searchsorted(np.arange(B + 1) * K)  # first change of each row
-        frame = row + (self.f0 + r0)
+        frame = row + self.f0
         rank = np.arange(idx.size) - starts[row]
         count = np.diff(starts)[row]
-        code = self._s3[r0 + 1:].reshape(-1).take(idx)
-        # carried changes go first: each gives its relay's point before frame f0+r0,
+        state = s[1:].reshape(-1).take(idx)
+        # carried changes go first: each gives its relay's point before frame f0,
         # in the strip it still holds
         pend = self._pend
         held = np.flatnonzero(pend[0] >= 0)
@@ -432,9 +498,9 @@ class _Fleet:
         if c:
             frame, rank, count = (np.concatenate((v, w)) for v, w in
                                   zip(pend[:, held], (frame, rank, count)))
-            code = np.concatenate((self._s3[r0, held], code))
+            state = np.concatenate((s[0, held], state))
             pend[0, held] = -1
-        src, dst = self._dpow(*self._place(frame, rank, count, code))
+        src, dst = self._dpow(*self._place(frame, rank, count, state))
         # forward-fill by value index: j is relay j's last value, K + i change i's;
         # carried changes stand before row 0
         last = np.zeros((B, K), dtype=np.intp)
@@ -448,9 +514,9 @@ class _Fleet:
         self.dst_dpow = dst_rows[-1].copy()
         return src_rows, dst_rows
 
-    def _place(self, frames, rank, movers, code) -> tuple[np.ndarray, np.ndarray]:
+    def _place(self, frames, rank, movers, state) -> tuple[np.ndarray, np.ndarray]:
         """Uniform points (x, y) in each change's strip, by lane-keyed rejection;
-        `code` is the walk state 3*strip that each change moved into.
+        `state` is the walk state S*strip that each change moved into.
 
         Attempt 0 runs over every change; the rejects then draw
         _PLACE_BATCH attempts per round in one call and keep the first
@@ -458,9 +524,9 @@ class _Fleet:
         the first accepted one changes nothing.
         """
         bases = self.rng.frame_bases(STREAM_PLACE, frames)
-        x1 = self._box_x1.take(code)
-        dx = self._box_dx.take(code)
-        hh = self._box_hh.take(code)
+        x1 = self._box_x1.take(state)
+        dx = self._box_dx.take(state)
+        hh = self._box_hh.take(state)
         lanes = np.stack((rank, rank + movers))  # attempt a adds a*2m to both
         x, y, ok = self._attempt(bases, lanes, x1, dx, hh)
         todo = np.flatnonzero(~ok)
@@ -660,10 +726,10 @@ def run(cfg: SimConfig) -> RunMetrics:
     links = FrameLinks(phy, direct_dist**cfg.alpha)
     block = max(1, _BLOCK_BYTES // (_CELL_BYTES * K))
 
-    def fill_links(f: int) -> None:
-        """Draw the channel of frames f .. the end of the walked block."""
-        src_dpow, dst_dpow = fleet.fill(f - fleet.f0)
-        n = fleet.f0 + fleet.n - f
+    def fill_links() -> None:
+        """Draw the channel of the walked block."""
+        src_dpow, dst_dpow = fleet.fill()
+        f, n = fleet.f0, fleet.n
         links.fill(
             fading.from_uniforms(rng.block_uniforms(STREAM_FADE_SRC, f, n, K)),
             fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DST, f, n, K)),
@@ -705,7 +771,7 @@ def run(cfg: SimConfig) -> RunMetrics:
     chunk = 65536
     batches = busy = None
 
-    walked = fill0 = 0  # end of the walked blocks; first frame of the filled rows
+    walked = fill0 = 0  # end of the walked frames; first frame of the filled block
     f = 0
     while f < horizon:
         a_s = 0
@@ -737,13 +803,13 @@ def run(cfg: SimConfig) -> RunMetrics:
                 f = g
                 continue
 
-        if f >= walked:  # walk every block up to f's, and fill f's from f on
+        if f >= walked:  # skip the unread frames up to f, then walk and fill f's block
             links.clear()  # free the last filled rows before drawing more
-            while walked <= f:
-                fleet.walk(walked, min(block, horizon - walked))
-                walked += fleet.n
-            fill_links(f)
-            fill0 = f
+            if f > walked:
+                fleet.skip(walked, f - walked)
+            fleet.walk(f, min(block, horizon - f))
+            walked, fill0 = f + fleet.n, f
+            fill_links()
         links.row = f - fill0
 
         outcome = proto.step(links, source, relays, proto_stream.rebind(f))

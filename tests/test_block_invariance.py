@@ -107,3 +107,31 @@ def test_changes_carry_across_unread_blocks():
     _assert_same_run(_run_with_block(cfg, 7), default)
     dense = engine.run(dataclasses.replace(cfg, track_connectivity=True))
     _assert_same_run(dense, default, ignore=("src_conn_frames", "dst_conn_frames"))
+
+    # Idle spans are walked in chunks, 37 frames long with 7-frame blocks. At
+    # q = 0.005 a relay often keeps its strip through a whole chunk, so the
+    # change it carries into the next filled block comes from an earlier one.
+    cfg = engine.SimConfig(
+        K=6, horizon=20_000, seed=4, rate=1e6, mobility=RandomWalk(q=0.005),
+        arrival_pmf=((2, 0.002),), conservation_check_every=1)
+    chunk_starts, from_earlier = [], []
+    carry, fill = engine._Fleet._carry, engine._Fleet._fill_walk
+
+    def carry_spy(fleet, moved, f0):
+        chunk_starts.append(f0)
+        carry(fleet, moved, f0)
+
+    def fill_spy(fleet):
+        held = fleet._pend[0]
+        from_earlier.append(bool(chunk_starts and ((0 <= held) & (held < chunk_starts[-1])).any()))
+        return fill(fleet)
+
+    with mock.patch.object(engine._Fleet, "_carry", carry_spy), \
+            mock.patch.object(engine._Fleet, "_fill_walk", fill_spy):
+        chunked = _run_with_block(cfg, 7)
+    assert sum(from_earlier) > 10  # of 69 fills
+    assert chunked.conservation_ok and chunked.delivered > 50
+    assert chunked.idle_frames > cfg.horizon // 2
+    _assert_same_run(_run_with_block(cfg, 1), chunked)
+    dense = engine.run(dataclasses.replace(cfg, track_connectivity=True))
+    _assert_same_run(dense, chunked, ignore=("src_conn_frames", "dst_conn_frames"))

@@ -26,7 +26,7 @@ from relaysim.engine import (
     sweep,
     validate_config,
 )
-from relaysim.geometry import RandomWalk, RandomWaypoint, build_disk, region_box
+from relaysim.geometry import RandomWalk, RandomWaypoint, build_disk, region_box, walk_next
 from relaysim.protocols import PROTOCOL_NAMES, ROLE_BROADCAST, FrameOutcome, Obdwf
 from relaysim.rng import STREAM_PLACE, CounterRng
 
@@ -272,6 +272,15 @@ def test_validate_config_errors_and_warnings():
         validate_config(small_cfg(pinned_positions=((2.5, 0.0),)))  # needs K points
     with pytest.raises(ValueError):
         validate_config(small_cfg(abort_queue_threshold=-1))
+    # a negative warm-up would count frames before the run as measured
+    with pytest.raises(ValueError, match="warmup must be None or >= 0"):
+        validate_config(SimConfig(horizon=2_000, warmup=-5, infinite_backlog=True,
+                                  arrival_pmf=None))
+    with pytest.raises(ValueError, match="traj_stride"):
+        validate_config(small_cfg(traj_stride=-2))
+    with pytest.raises(ValueError, match="conservation_check_every"):
+        validate_config(small_cfg(conservation_check_every=-1))
+    assert validate_config(small_cfg(warmup=0, traj_stride=0, conservation_check_every=0)) == []
     with pytest.raises(ValueError):
         effective_rate(SimConfig(K=1))  # the W*log2(K) rule needs K >= 2
     assert validate_config(small_cfg()) == []
@@ -378,10 +387,49 @@ def test_place_matches_scalar_rejection(batch, num_regions, monkeypatch):
     rank = (draw.random(n) * movers).astype(np.int64)
     edge = draw.choice(np.array([1, num_regions]), n)
     strip = np.where(draw.random(n) < 0.5, edge, draw.integers(1, num_regions + 1, n))
-    x, y = fleet._place(frames, rank, movers, 3 * strip)  # walk state is 3 * strip
+    x, y = fleet._place(frames, rank, movers, 3**engine._WALK_GROUP * strip)  # walk state
     want = [_place_oracle(rng, geometry, int(f), int(i), int(m), int(s))
             for f, i, m, s in zip(frames, rank, movers, strip)]
     assert np.array_equal(np.column_stack((x, y)), want)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.02, 0.2, 0.5])
+@pytest.mark.parametrize("num_regions", [1, 2, 5, 6, 12])
+def test_table_walk_matches_walk_next(num_regions, q, monkeypatch):
+    # The table walk steps _WALK_GROUP frames per lookup. Walk spans of every
+    # length up to three groups and one, most not a multiple of the group,
+    # against one walk_next call per frame; a third of the uniforms sit
+    # exactly at q and another third at 1-q, where the step changes.
+    drawn = []
+    draw = np.random.default_rng(num_regions)
+
+    def block_uniforms(self, stream, frame0, n_frames, n):
+        u = draw.random((n_frames, n))
+        at = draw.integers(0, 3, u.shape)
+        u = np.where(at == 0, q, np.where(at == 1, 1.0 - q, u))
+        drawn.append(u)
+        return u.copy()
+
+    monkeypatch.setattr(CounterRng, "block_uniforms", block_uniforms)
+    cfg = SimConfig(K=9, num_regions=num_regions, mobility=RandomWalk(q=q), seed=2)
+    fleet = engine._Fleet(cfg, build_disk(cfg.radius, num_regions), CounterRng(cfg.seed))
+    S = 3**engine._WALK_GROUP  # the walk state is S * strip
+    strips = fleet._s[-1] // S
+    assert 1 <= strips.min() and strips.max() <= num_regions
+    f = 0
+    for n in range(1, 3 * engine._WALK_GROUP + 2):
+        for step in (fleet.walk, fleet.skip):
+            drawn.clear()
+            step(f, n)
+            want = []
+            for u in np.concatenate(drawn):
+                strips = walk_next(strips, u, q, num_regions)
+                want.append(strips)
+            assert len(want) == n
+            # a walked block keeps every frame; a skipped span only its last
+            got = fleet._s[1:] if step == fleet.walk else fleet._s
+            assert np.array_equal(got // S, want[-len(got):]), (step.__name__, n)
+            f += n
 
 
 class _LosesFirstPacket(Obdwf):
