@@ -33,7 +33,6 @@ from .channel import (
 )
 from .config import (
     PRESET_NAMES,
-    PROTOCOL_CHOICES,
     ConfigError,
     ExperimentSpec,
     apply_overrides,
@@ -82,7 +81,7 @@ __all__ = [
     "pgf_mean_system", "stability_gain_order",
     "GainTable", "PhyParams", "Rayleigh", "af_effective_snr",
     "connect_threshold", "connection_probability_mc",
-    "PRESET_NAMES", "PROTOCOL_CHOICES", "ConfigError", "ExperimentSpec",
+    "PRESET_NAMES", "ConfigError", "ExperimentSpec",
     "apply_overrides", "load_config_file", "load_preset", "parse_values",
     "ConservationFailure", "RateBracket", "RunMetrics", "SimConfig", "StabilityVerdict",
     "SWEEP_AXES", "SweepRow", "aggregate_metric", "apply_axis",

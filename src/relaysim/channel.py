@@ -1,11 +1,11 @@
-"""Block-fading channel: link rates, connectivity, and coverage.
+"""Block-fading channel: radio constants, fading models, connectivity.
 
 A link with power gain H at distance d carries W*log2(1 + P*xi*H/d^alpha) bits
 per second, constant within a frame and redrawn independently each frame. A
 link is connected when that rate reaches the signalling rate R; equivalently
-when H >= (beta - 1) * d^alpha / (P * xi) with beta = 2^(R/W). The threshold
-form is used everywhere so boundary cases are decided identically in the
-scalar and vectorized paths.
+when H >= (beta - 1) / (P * xi) * d^alpha with beta = 2^(R/W). The threshold
+form is used everywhere, in that order of operations, so connect_threshold
+and the engine's FrameLinks decide boundary cases identically.
 """
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ __all__ = [
     "PhyParams",
     "Rayleigh",
     "GainTable",
-    "draw_fading",
-    "link_rate",
     "connect_threshold",
-    "is_connected",
-    "coverage_radius",
     "af_effective_snr",
     "ConnectionEstimate",
     "connection_probability_mc",
@@ -63,9 +59,6 @@ class Rayleigh:
     def from_uniforms(self, u):
         return -np.log(u)
 
-    def sample(self, rng, size=None):
-        return rng.standard_exponential(size)
-
 
 @dataclass(frozen=True)
 class GainTable:
@@ -93,43 +86,14 @@ class GainTable:
         out = self._gain_arr[idx]
         return out if out.ndim else float(out)
 
-    def sample(self, rng, size=None):
-        return self.from_uniforms(rng.random(size))
 
+# ---------- connectivity ----------
 
-def draw_fading(model, rng, size=None):
-    """Draw power gain(s) from a fading model with a .random()/.standard_exponential rng."""
-    return model.sample(rng, size)
-
-
-# ---------- rate and connectivity ----------
-
-
-def link_rate(gain, distance, phy: PhyParams):
-    """Shannon rate of a link, bits per second. Array-aware; distance must be positive."""
-    d = np.asarray(distance, dtype=np.float64)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
-    out = phy.bandwidth * np.log2(1.0 + phy.power * phy.xi * np.asarray(gain) / d**phy.alpha)
-    return out if out.ndim else float(out)
 
 def connect_threshold(distance, phy: PhyParams):
     """Minimum power gain at which a link of the given length is connected."""
     d = np.asarray(distance, dtype=np.float64)
-    out = (phy.beta - 1.0) * d**phy.alpha / (phy.power * phy.xi)
-    return out if out.ndim else float(out)
-
-
-def is_connected(gain, distance, phy: PhyParams):
-    """True when the link rate reaches R (boundary inclusive)."""
-    out = np.asarray(gain) >= connect_threshold(distance, phy)
-    return out if out.ndim else bool(out)
-
-
-def coverage_radius(gain, phy: PhyParams):
-    """Largest connected distance for a given power gain."""
-    g = np.asarray(gain, dtype=np.float64)
-    out = (phy.power * phy.xi * g / (phy.beta - 1.0)) ** (1.0 / phy.alpha)
+    out = (phy.beta - 1.0) / (phy.power * phy.xi) * d**phy.alpha
     return out if out.ndim else float(out)
 
 
@@ -179,7 +143,7 @@ def connection_probability_mc(
         y = rad * np.sin(ang)
         d = np.hypot(x - ex, y)
         np.maximum(d, 1e-9, out=d)
-        h = draw_fading(fading, rng, n)
+        h = fading.from_uniforms(1.0 - rng.random(n))
         hits += int(np.count_nonzero(h >= connect_threshold(d, phy)))
     p = hits / n_samples
     half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)

@@ -20,7 +20,6 @@ from pathlib import Path
 from . import validation
 from .config import (
     PRESET_NAMES,
-    PROTOCOL_CHOICES,
     ConfigError,
     ExperimentSpec,
     apply_overrides,

@@ -1,16 +1,27 @@
 """INI experiment configuration: parsing, presets, overrides.
 
 A config file has sections [sim], [geometry], [mobility], [channel],
-[traffic], and [experiment]. Every key is optional and falls back to the
-engine defaults; unknown keys are rejected so typos fail loudly. Presets
-shipped with the package (fig3a .. fig7) are ready-made experiment plans:
-throughput sweeps, stability bisections, and delay studies.
+[traffic], and [experiment]. _KEYS lists every key once, with the SimConfig
+or ExperimentSpec field it sets and the parser of its value; unknown
+sections and keys are rejected so typos fail loudly. A file's keys apply on
+top of the engine defaults, and an empty value leaves its field as it is.
+`--set section.key=value` overrides apply on top of a parsed spec and change
+their own field and nothing else; an empty override value is rejected.
+
+The mobility keys build one model together, and so do the fading keys: they
+start from the model in force, or from the defaults of the type that the
+model or fading key switches to, and a key that the resulting model does not
+have is rejected.
+
+Presets shipped with the package (fig3a .. fig7) are ready-made experiment
+plans: throughput sweeps, stability bisections, and delay studies.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
@@ -29,26 +40,9 @@ __all__ = [
     "apply_overrides",
     "parse_values",
     "PRESET_NAMES",
-    "PROTOCOL_CHOICES",
 ]
 
 PRESET_NAMES = ("fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "fig7")
-PROTOCOL_CHOICES = PROTOCOL_NAMES
-
-_KNOWN_KEYS = {
-    "sim": {
-        "relays", "protocol", "horizon", "warmup", "seed", "buffer_capacity",
-        "infinite_backlog", "n_active", "n_decode", "direct_delivery",
-        "track_connectivity", "resample_within_region",
-    },
-    "geometry": {"radius", "regions"},
-    "mobility": {"model", "q", "speed_min", "speed_max", "pause_max"},
-    "channel": {"bandwidth", "power", "alpha", "xi", "rate", "tau", "fading",
-                "gains", "probs"},
-    "traffic": {"arrivals", "packet_bits"},
-    "experiment": {"mode", "axis", "values", "protocols", "reps", "jobs",
-                   "lo", "hi", "resolution", "batch", "out", "name"},
-}
 
 
 class ConfigError(ValueError):
@@ -78,7 +72,8 @@ def parse_values(text: str) -> tuple:
     """Axis values: either 'lo:hi:step' (inclusive) or a comma list.
 
     Numeric entries become int when integral, float otherwise; anything
-    non-numeric is kept as a string (protocol names).
+    non-numeric is kept as a string (protocol names). A number that is not
+    finite is rejected.
     """
     text = text.strip()
     if ":" in text and "," not in text:
@@ -100,15 +95,19 @@ def parse_values(text: str) -> tuple:
         if not tok:
             continue
         try:
-            out.append(_as_number(float(tok)))
+            x = float(tok)
         except ValueError:
             out.append(tok)
+        else:
+            out.append(_as_number(x))
     if not out:
         raise ConfigError("empty values list")
     return tuple(out)
 
 
 def _as_number(x: float):
+    if not math.isfinite(x):
+        raise ConfigError(f"axis value {x} is not finite")
     return int(round(x)) if abs(x - round(x)) < 1e-9 else x
 
 
@@ -122,166 +121,151 @@ def _parse_pmf(text: str) -> tuple[tuple[int, float], ...]:
         if ":" not in tok:
             raise ConfigError(f"arrival entry {tok!r} must be size:prob")
         s, p = tok.split(":", 1)
-        try:
-            pairs.append((int(s), float(p)))
-        except ValueError as e:
-            raise ConfigError(f"bad arrival entry {tok!r}: {e}") from None
+        pairs.append((int(s), float(p)))
     if not pairs:
         raise ConfigError("empty arrival pmf")
     return tuple(pairs)
 
 
-def _get(parser, section, key, fallback=None):
-    if parser.has_option(section, key):
-        val = parser.get(section, key).strip()
-        return val if val else fallback
-    return fallback
-
-
-def _bool(text: str, where: str) -> bool:
-    t = text.strip().lower()
+def _bool(text: str) -> bool:
+    t = text.lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _one_of(choices, fold=str.lower):
+    """Parser of a name in `choices`, compared after `fold`; a dict maps each
+    name to the value parsed."""
+
+    def parse(text: str):
+        name = fold(text)
+        if name not in choices:
+            raise ConfigError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return choices[name] if isinstance(choices, dict) else name
+
+    return parse
+
+
+def _or_none(word: str, parse):
+    """Parser of `parse`'s values, or None for the keyword `word`."""
+    return lambda text: None if text.lower() == word else parse(text)
+
+
+def _protocols(text: str) -> tuple[str, ...]:
+    if text.lower() == "all":
+        return PROTOCOL_NAMES
+    protocol = _one_of(PROTOCOL_NAMES)
+    return tuple(protocol(p.strip()) for p in text.split(",") if p.strip())
+
+
+# Every INI key, (section, key) -> (field, parser of its value). The fields of
+# [experiment] keys are ExperimentSpec fields, the others SimConfig fields. The
+# mobility and fading keys name the model's type (field "mobility"/"fading") or
+# one field of the model ("mobility.q" is field q of SimConfig.mobility).
+_KEYS = {
+    ("sim", "relays"): ("K", int),
+    ("sim", "protocol"): ("protocol", _one_of(PROTOCOL_NAMES)),
+    ("sim", "horizon"): ("horizon", int),
+    ("sim", "warmup"): ("warmup", int),
+    ("sim", "seed"): ("seed", int),
+    ("sim", "buffer_capacity"): ("buffer_capacity", _or_none("none", int)),
+    ("sim", "infinite_backlog"): ("infinite_backlog", _bool),
+    ("sim", "n_active"): ("n_active", int),
+    ("sim", "n_decode"): ("n_decode", int),
+    ("sim", "direct_delivery"): ("direct_delivery", _bool),
+    ("sim", "track_connectivity"): ("track_connectivity", _bool),
+    ("sim", "resample_within_region"): ("resample_within_region", _bool),
+    ("geometry", "radius"): ("radius", float),
+    ("geometry", "regions"): ("num_regions", int),
+    ("mobility", "model"): ("mobility", _one_of({"walk": RandomWalk, "waypoint": RandomWaypoint})),
+    ("mobility", "q"): ("mobility.q", float),
+    ("mobility", "speed_min"): ("mobility.speed_min", float),
+    ("mobility", "speed_max"): ("mobility.speed_max", float),
+    ("mobility", "pause_max"): ("mobility.pause_set", lambda t: tuple(range(int(t) + 1))),
+    ("channel", "bandwidth"): ("bandwidth", float),
+    ("channel", "power"): ("power", float),
+    ("channel", "alpha"): ("alpha", float),
+    ("channel", "xi"): ("xi", float),
+    ("channel", "rate"): ("rate", _or_none("auto", float)),
+    ("channel", "tau"): ("tau", float),
+    ("channel", "fading"): ("fading", _one_of({"rayleigh": Rayleigh, "table": GainTable})),
+    ("channel", "gains"): ("fading.gains", _floats),
+    ("channel", "probs"): ("fading.probs", _floats),
+    ("traffic", "arrivals"): ("arrival_pmf", _or_none("none", _parse_pmf)),
+    ("traffic", "packet_bits"): ("packet_bits", _or_none("auto", float)),
+    ("experiment", "mode"): ("mode", _one_of(("run", "sweep", "stability"))),
+    ("experiment", "axis"): ("axis", _one_of(SWEEP_AXES, fold=str)),
+    ("experiment", "values"): ("values", parse_values),
+    ("experiment", "protocols"): ("protocols", _protocols),
+    ("experiment", "reps"): ("reps", int),
+    ("experiment", "jobs"): ("jobs", int),
+    ("experiment", "lo"): ("lo", float),
+    ("experiment", "hi"): ("hi", float),
+    ("experiment", "resolution"): ("resolution", float),
+    ("experiment", "batch"): ("batch", _or_none("none", int)),
+    ("experiment", "out"): ("out", str),
+    ("experiment", "name"): ("name", str),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
+def _apply(spec: ExperimentSpec, entries) -> ExperimentSpec:
+    """spec with the INI entries (section, key, value text) applied on top;
+    an entry with an empty value leaves its field as it is."""
+    sim, plan = {}, {}
+    models = {"mobility": {}, "fading": {}}  # model field -> (value, INI key)
+    for section, key, text in entries:
+        if (section, key) not in _KEYS:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        text = text.strip()
+        if not text:
+            continue
+        target, parse = _KEYS[section, key]
+        try:
+            value = parse(text)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"{section}.{key}: {e}") from e
+        model, _, field = target.rpartition(".")
+        if model:
+            models[model][field] = value, f"{section}.{key}"
+        else:
+            (plan if section == "experiment" else sim)[target] = value
+    for model, keyed in models.items():
+        if model in sim or keyed:
+            sim[model] = _model(getattr(spec.sim, model), sim.get(model), keyed)
+    return replace(spec, sim=replace(spec.sim, **sim), **plan)
+
+
+def _model(current, cls, keyed: dict):
+    """The model of type cls (None: current's type) with the fields `keyed`
+    ({field: (value, INI key)}) set: built on current when it has that type,
+    and on cls's defaults otherwise."""
+    cls = cls or type(current)
+    names = {f.name for f in fields(cls)}
+    for field, (_, key) in keyed.items():
+        if field not in names:
+            raise ConfigError(f"{key} does not apply to {cls.__name__}")
+    values = {field: value for field, (value, _) in keyed.items()}
+    try:
+        return replace(current, **values) if type(current) is cls else cls(**values)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{cls.__name__}: {e}") from e
 
 
 def parse_config(parser: configparser.ConfigParser, name: str = "experiment") -> ExperimentSpec:
     """Build an ExperimentSpec from parsed INI content."""
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    def g(sec, key, fallback=None):
-        return _get(parser, sec, key, fallback)
-
-    try:
-        kwargs = {}
-        if g("sim", "relays"):
-            kwargs["K"] = int(g("sim", "relays"))
-        if g("sim", "protocol"):
-            proto = g("sim", "protocol").lower()
-            if proto not in PROTOCOL_CHOICES:
-                raise ConfigError(f"unknown protocol {proto!r}")
-            kwargs["protocol"] = proto
-        if g("sim", "horizon"):
-            kwargs["horizon"] = int(g("sim", "horizon"))
-        if g("sim", "warmup"):
-            kwargs["warmup"] = int(g("sim", "warmup"))
-        if g("sim", "seed"):
-            kwargs["seed"] = int(g("sim", "seed"))
-        cap = g("sim", "buffer_capacity")
-        if cap and cap.lower() != "none":
-            kwargs["buffer_capacity"] = int(cap)
-        for key, attr in (
-            ("infinite_backlog", "infinite_backlog"),
-            ("direct_delivery", "direct_delivery"),
-            ("track_connectivity", "track_connectivity"),
-            ("resample_within_region", "resample_within_region"),
-        ):
-            if g("sim", key):
-                kwargs[attr] = _bool(g("sim", key), f"sim.{key}")
-        if g("sim", "n_active"):
-            kwargs["n_active"] = int(g("sim", "n_active"))
-        if g("sim", "n_decode"):
-            kwargs["n_decode"] = int(g("sim", "n_decode"))
-
-        if g("geometry", "radius"):
-            kwargs["radius"] = float(g("geometry", "radius"))
-        if g("geometry", "regions"):
-            kwargs["num_regions"] = int(g("geometry", "regions"))
-
-        model = (g("mobility", "model") or "walk").lower()
-        if model == "walk":
-            q = float(g("mobility", "q") or 0.2)
-            kwargs["mobility"] = RandomWalk(q=q)
-        elif model == "waypoint":
-            pause_max = int(g("mobility", "pause_max") or 10)
-            kwargs["mobility"] = RandomWaypoint(
-                speed_min=float(g("mobility", "speed_min") or 0.1),
-                speed_max=float(g("mobility", "speed_max") or 0.6),
-                pause_set=tuple(range(pause_max + 1)),
-            )
-        else:
-            raise ConfigError(f"mobility.model must be walk or waypoint, got {model!r}")
-
-        for key, attr in (
-            ("bandwidth", "bandwidth"), ("power", "power"),
-            ("alpha", "alpha"), ("xi", "xi"), ("tau", "tau"),
-        ):
-            if g("channel", key):
-                kwargs[attr] = float(g("channel", key))
-        rate = g("channel", "rate")
-        if rate and rate.lower() != "auto":
-            kwargs["rate"] = float(rate)
-        fading = (g("channel", "fading") or "rayleigh").lower()
-        if fading == "rayleigh":
-            kwargs["fading"] = Rayleigh()
-        elif fading == "table":
-            gains = g("channel", "gains")
-            probs = g("channel", "probs")
-            if not gains or not probs:
-                raise ConfigError("fading=table needs channel.gains and channel.probs")
-            kwargs["fading"] = GainTable(
-                gains=tuple(float(x) for x in gains.split(",")),
-                probs=tuple(float(x) for x in probs.split(",")),
-            )
-        else:
-            raise ConfigError(f"channel.fading must be rayleigh or table, got {fading!r}")
-
-        arr = g("traffic", "arrivals")
-        if arr:
-            if arr.lower() == "none":
-                kwargs["arrival_pmf"] = None
-            else:
-                kwargs["arrival_pmf"] = _parse_pmf(arr)
-        bits = g("traffic", "packet_bits")
-        if bits and bits.lower() != "auto":
-            kwargs["packet_bits"] = float(bits)
-
-        sim = SimConfig(**kwargs)
-
-        mode = (g("experiment", "mode") or "run").lower()
-        if mode not in ("run", "sweep", "stability"):
-            raise ConfigError(f"experiment.mode must be run/sweep/stability, got {mode!r}")
-        axis = g("experiment", "axis")
-        if axis and axis not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-        values = parse_values(g("experiment", "values")) if g("experiment", "values") else ()
-        protos_text = g("experiment", "protocols") or ""
-        if protos_text.strip().lower() == "all":
-            protocols = PROTOCOL_CHOICES
-        elif protos_text.strip():
-            protocols = tuple(p.strip().lower() for p in protos_text.split(",") if p.strip())
-            for p in protocols:
-                if p not in PROTOCOL_CHOICES:
-                    raise ConfigError(f"unknown protocol {p!r} in experiment.protocols")
-        else:
-            protocols = ()
-        batch = g("experiment", "batch")
-        return ExperimentSpec(
-            sim=sim,
-            mode=mode,
-            axis=axis,
-            values=values,
-            protocols=protocols,
-            reps=int(g("experiment", "reps") or 1),
-            jobs=int(g("experiment", "jobs") or 1),
-            lo=float(g("experiment", "lo") or 0.02),
-            hi=float(g("experiment", "hi") or 0.8),
-            resolution=float(g("experiment", "resolution") or 0.02),
-            batch=None if not batch or batch.lower() == "none" else int(batch),
-            out=g("experiment", "out"),
-            name=g("experiment", "name") or name,
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from e
+    entries = [(s, key, text) for s in parser.sections() for key, text in parser.items(s)]
+    return _apply(ExperimentSpec(sim=SimConfig(), name=name), entries)
 
 
 def _fresh_parser() -> configparser.ConfigParser:
@@ -316,92 +300,18 @@ def load_preset(name: str) -> ExperimentSpec:
 def apply_overrides(spec: ExperimentSpec, sets: list[str]) -> ExperimentSpec:
     """Apply --set section.key=value pairs on top of a parsed spec.
 
-    Works by re-serializing the ExperimentSpec fields into a parser and
-    re-parsing, so overrides behave exactly like editing the file.
+    Each pair sets its own field the way the key does in a file, on the spec
+    as it is, and leaves every other field alone; an empty value is rejected.
     """
     if not sets:
         return spec
-    parser = _fresh_parser()
-    _spec_to_parser(spec, parser)
+    entries = []
     for item in sets:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        target, eq, value = item.partition("=")
+        section, dot, key = target.partition(".")
+        if not eq or not dot:
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
-        target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        section, key = section.strip(), key.strip()
-        if section not in _KNOWN_KEYS or key not in _KNOWN_KEYS[section]:
-            raise ConfigError(f"unknown override target {target!r}")
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, value.strip())
-    return parse_config(parser, name=spec.name)
-
-
-def _spec_to_parser(spec: ExperimentSpec, parser: configparser.ConfigParser) -> None:
-    sim = spec.sim
-    parser.add_section("sim")
-    parser.set("sim", "relays", str(sim.K))
-    parser.set("sim", "protocol", sim.protocol)
-    parser.set("sim", "horizon", str(sim.horizon))
-    if sim.warmup is not None:
-        parser.set("sim", "warmup", str(sim.warmup))
-    parser.set("sim", "seed", str(sim.seed))
-    if sim.buffer_capacity is not None:
-        parser.set("sim", "buffer_capacity", str(sim.buffer_capacity))
-    parser.set("sim", "infinite_backlog", str(sim.infinite_backlog).lower())
-    parser.set("sim", "direct_delivery", str(sim.direct_delivery).lower())
-    parser.set("sim", "track_connectivity", str(sim.track_connectivity).lower())
-    parser.set("sim", "resample_within_region", str(sim.resample_within_region).lower())
-    parser.set("sim", "n_active", str(sim.n_active))
-    parser.set("sim", "n_decode", str(sim.n_decode))
-    parser.add_section("geometry")
-    parser.set("geometry", "radius", repr(sim.radius))
-    parser.set("geometry", "regions", str(sim.num_regions))
-    parser.add_section("mobility")
-    if isinstance(sim.mobility, RandomWalk):
-        parser.set("mobility", "model", "walk")
-        parser.set("mobility", "q", repr(sim.mobility.q))
-    else:
-        parser.set("mobility", "model", "waypoint")
-        parser.set("mobility", "speed_min", repr(sim.mobility.speed_min))
-        parser.set("mobility", "speed_max", repr(sim.mobility.speed_max))
-        parser.set("mobility", "pause_max", str(max(sim.mobility.pause_set)))
-    parser.add_section("channel")
-    parser.set("channel", "bandwidth", repr(sim.bandwidth))
-    parser.set("channel", "power", repr(sim.power))
-    parser.set("channel", "alpha", repr(sim.alpha))
-    parser.set("channel", "xi", repr(sim.xi))
-    parser.set("channel", "tau", repr(sim.tau))
-    parser.set("channel", "rate", "auto" if sim.rate is None else repr(sim.rate))
-    if isinstance(sim.fading, Rayleigh):
-        parser.set("channel", "fading", "rayleigh")
-    else:
-        parser.set("channel", "fading", "table")
-        parser.set("channel", "gains", ",".join(repr(x) for x in sim.fading.gains))
-        parser.set("channel", "probs", ",".join(repr(x) for x in sim.fading.probs))
-    parser.add_section("traffic")
-    if sim.arrival_pmf is None:
-        parser.set("traffic", "arrivals", "none")
-    else:
-        parser.set("traffic", "arrivals",
-                   ",".join(f"{s}:{p!r}" for s, p in sim.arrival_pmf))
-    parser.set("traffic", "packet_bits",
-               "auto" if sim.packet_bits is None else repr(sim.packet_bits))
-    parser.add_section("experiment")
-    parser.set("experiment", "mode", spec.mode)
-    if spec.axis:
-        parser.set("experiment", "axis", spec.axis)
-    if spec.values:
-        parser.set("experiment", "values", ",".join(str(v) for v in spec.values))
-    if spec.protocols:
-        parser.set("experiment", "protocols", ",".join(spec.protocols))
-    parser.set("experiment", "reps", str(spec.reps))
-    parser.set("experiment", "jobs", str(spec.jobs))
-    parser.set("experiment", "lo", repr(spec.lo))
-    parser.set("experiment", "hi", repr(spec.hi))
-    parser.set("experiment", "resolution", repr(spec.resolution))
-    if spec.batch is not None:
-        parser.set("experiment", "batch", str(spec.batch))
-    if spec.out:
-        parser.set("experiment", "out", spec.out)
-    parser.set("experiment", "name", spec.name)
+        if not value.strip():
+            raise ConfigError(f"--set {target} has an empty value")
+        entries.append((section.strip(), key.strip(), value))
+    return _apply(spec, entries)

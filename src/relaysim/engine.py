@@ -97,7 +97,6 @@ __all__ = [
 
 _MIN_SEPARATION = 1e-9  # distance clamp keeping path loss finite
 
-_DEFAULT_WALK = RandomWalk(q=0.2)
 _DEFAULT_ARRIVALS = ((15, 0.001), (0, 0.999))
 
 
@@ -115,7 +114,7 @@ class SimConfig:
     warmup: int | None = None  # None -> horizon // 10
     radius: float = 2.5
     num_regions: int = 5
-    mobility: RandomWalk | RandomWaypoint = _DEFAULT_WALK
+    mobility: RandomWalk | RandomWaypoint = RandomWalk()
     bandwidth: float = 1e6
     power: float = 100.0
     xi: float = 1.0

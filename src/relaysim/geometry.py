@@ -23,16 +23,11 @@ __all__ = [
     "DiskGeometry",
     "RandomWalk",
     "RandomWaypoint",
-    "WaypointState",
     "segment_area",
     "compute_region_boundaries",
     "build_disk",
     "region_of",
-    "sample_uniform_disk",
-    "sample_uniform_in_region",
-    "step_random_walk",
     "walk_next",
-    "step_waypoint",
 ]
 
 
@@ -117,13 +112,6 @@ def region_of(geometry: DiskGeometry, point: tuple[float, float]) -> int:
     return max(k, 1)
 
 
-def sample_uniform_disk(geometry: DiskGeometry, rng) -> tuple[float, float]:
-    """Uniform point on the disk via the polar transform; rng needs .random()."""
-    rad = geometry.radius * math.sqrt(rng.random())
-    ang = 2.0 * math.pi * rng.random()
-    return (geometry.radius + rad * math.cos(ang), rad * math.sin(ang))
-
-
 def region_box(geometry: DiskGeometry, region: int) -> tuple[float, float, float]:
     """Bounding box (x_lo, x_hi, half_height) of a strip."""
     x0 = geometry.boundaries[region - 1]
@@ -137,22 +125,6 @@ def region_box(geometry: DiskGeometry, region: int) -> tuple[float, float, float
     return x0, x1, h
 
 
-def sample_uniform_in_region(
-    geometry: DiskGeometry, region: int, rng, max_attempts: int = 100000
-) -> tuple[float, float]:
-    """Uniform point inside one strip, by rejection from the strip's bounding box."""
-    if not 1 <= region <= geometry.num_regions:
-        raise ValueError(f"region {region} out of range 1..{geometry.num_regions}")
-    x0, x1, h = region_box(geometry, region)
-    r = geometry.radius
-    for _ in range(max_attempts):
-        x = x0 + (x1 - x0) * rng.random()
-        y = h * (2.0 * rng.random() - 1.0)
-        if (x - r) ** 2 + y * y <= r * r and region_of(geometry, (x, y)) == region:
-            return (x, y)
-    raise RuntimeError(f"rejection sampling failed after {max_attempts} attempts")
-
-
 # ---------- mobility models ----------
 
 
@@ -160,7 +132,7 @@ def sample_uniform_in_region(
 class RandomWalk:
     """Strip-index walk: step -1/+1 with probability q each, else stay; edges reflect the lost direction into staying."""
 
-    q: float
+    q: float = 0.2
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 0.5:
@@ -196,38 +168,3 @@ def walk_next(region, u, q: float, num_regions: int):
     up = np.where(region == 1, u < q, (u >= 1.0 - q) & (region < num_regions))
     out = region + up.astype(region.dtype) - down.astype(region.dtype)
     return out if out.ndim else int(out)
-
-
-def step_random_walk(region: int, q: float, num_regions: int, rng) -> int:
-    """One frame of the strip walk for a single relay."""
-    if not 1 <= region <= num_regions:
-        raise ValueError(f"region {region} out of range 1..{num_regions}")
-    return int(walk_next(region, rng.random(), q, num_regions))
-
-
-@dataclass
-class WaypointState:
-    point: tuple[float, float]
-    target: tuple[float, float]
-    speed: float
-    pause_left: int
-
-
-def step_waypoint(
-    state: WaypointState, geometry: DiskGeometry, model: RandomWaypoint, rng
-) -> WaypointState:
-    """One frame of the waypoint walk: pause, else advance; on arrival draw
-    pause, then a fresh uniform target and speed."""
-    if state.pause_left > 0:
-        return WaypointState(state.point, state.target, state.speed, state.pause_left - 1)
-    px, py = state.point
-    tx, ty = state.target
-    dx, dy = tx - px, ty - py
-    dist = math.hypot(dx, dy)
-    if dist > state.speed:
-        f = state.speed / dist
-        return WaypointState((px + f * dx, py + f * dy), state.target, state.speed, 0)
-    pause = model.pause_set[int(rng.random() * len(model.pause_set))]
-    new_target = sample_uniform_disk(geometry, rng)
-    speed = model.speed_min + (model.speed_max - model.speed_min) * rng.random()
-    return WaypointState((tx, ty), new_target, speed, pause)

@@ -28,7 +28,7 @@ __all__ = [
 
 
 def arrival_moments(pmf: dict[int, float]) -> tuple[float, float]:
-    """(mean, second moment) of a batch-size pmf."""
+    """(mean, second moment) of a pmf over counts: batch sizes, or service frames."""
     lam1 = sum(k * p for k, p in pmf.items())
     lam2 = sum(k * k * p for k, p in pmf.items())
     return lam1, lam2
@@ -65,23 +65,12 @@ class ArrivalDistribution:
         sizes = tuple(sorted(items))
         return cls(sizes=sizes, probs=tuple(items[s] for s in sizes))
 
-    @property
-    def mean(self) -> float:
-        return sum(s * p for s, p in zip(self.sizes, self.probs))
-
-    @property
-    def second_moment(self) -> float:
-        return sum(s * s * p for s, p in zip(self.sizes, self.probs))
-
     def from_uniforms(self, u):
         """Batch size(s) for uniform draw(s) in (0, 1]."""
         idx = np.searchsorted(self._cum, np.asarray(u), side="left")
         idx = np.minimum(idx, len(self.sizes) - 1)
         out = self._size_arr[idx]
         return out if out.ndim else int(out)
-
-    def sample(self, rng) -> int:
-        return int(self.from_uniforms(rng.random()))
 
 
 @dataclass

@@ -21,6 +21,7 @@ from . import analysis
 from .channel import GainTable, connection_probability_mc
 from .engine import SimConfig, build_phy, effective_rate, run
 from .geometry import RandomWalk, build_disk
+from .traffic import arrival_moments
 
 __all__ = [
     "CheckResult",
@@ -105,12 +106,6 @@ QUEUE_CHECK_CASES: tuple[tuple[dict, dict], ...] = (
 )
 
 
-def _pmf_moments(pmf: dict[int, float]) -> tuple[float, float]:
-    m1 = sum(k * p for k, p in pmf.items())
-    m2 = sum(k * k * p for k, p in pmf.items())
-    return m1, m2
-
-
 def check_queue_formula(
     n_frames: int = 10_000_000,
     seed: int = 1,
@@ -124,8 +119,8 @@ def check_queue_formula(
     details = []
     passed = True
     for i, (apmf, spmf) in enumerate(cases):
-        lam1, lam2 = _pmf_moments(apmf)
-        b, b2 = _pmf_moments(spmf)
+        lam1, lam2 = arrival_moments(apmf)
+        b, b2 = arrival_moments(spmf)
         predicted = wait_fn(lam1, lam2, analysis.ServiceMoments(b, b2))
         sim = simulate_batch_queue(apmf, spmf, n_frames, seed + i)
         rel = abs(sim.mean_delay - predicted) / predicted

@@ -12,11 +12,9 @@ from relaysim.channel import (
     af_effective_snr,
     connect_threshold,
     connection_probability_mc,
-    coverage_radius,
-    is_connected,
-    link_rate,
 )
 from relaysim.geometry import build_disk
+from relaysim.protocols import FrameLinks
 
 
 def ref_phy(rate=1e6, power=100.0, alpha=4.0, xi=1.0):
@@ -41,34 +39,23 @@ def test_phy_validation():
         ref_phy(alpha=1.5)
 
 
-def test_link_rate_reference_point():
-    # unit gain at unit distance with P = 100: W * log2(1 + 100)
-    phy = ref_phy()
-    assert math.isclose(link_rate(1.0, 1.0, phy), 6658211.482751795, rel_tol=1e-12)
-    # path loss: doubling distance at alpha=4 divides SNR by 16
-    r2 = link_rate(1.0, 2.0, phy)
-    assert math.isclose(r2, 1e6 * math.log2(1.0 + 100.0 / 16.0), rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        link_rate(1.0, 0.0, phy)
-
-
 def test_connectivity_threshold_inclusive():
     phy = ref_phy(rate=2e6)  # beta = 4
     d = 1.3
     thr = connect_threshold(d, phy)
     assert math.isclose(thr, (phy.beta - 1.0) * d**4 / (phy.power * phy.xi), rel_tol=1e-15)
-    assert is_connected(thr, d, phy)  # boundary counts as connected
-    assert not is_connected(thr * (1 - 1e-12), d, phy)
-    # equivalently the rate meets R at the threshold gain
-    assert link_rate(thr, d, phy) >= phy.rate * (1 - 1e-12)
-
-
-def test_coverage_radius_consistency():
-    phy = ref_phy(rate=3.3e6)
-    for g in (0.2, 1.0, 4.5):
-        r = coverage_radius(g, phy)
-        assert is_connected(g, r * (1 - 1e-9), phy)
-        assert not is_connected(g, r * (1 + 1e-9), phy)
+    # the rate meets R at the threshold gain
+    rate = phy.bandwidth * math.log2(1.0 + phy.power * phy.xi * thr / d**4)
+    assert rate >= phy.rate * (1 - 1e-12)
+    # the engine's links: a gain at the threshold connects (boundary counts as
+    # connected), one ulp below does not, on every link of the frame; at 2.1
+    # and 3.3 the threshold rounds differently in other orders of operations
+    for d in (1.3, 2.1, 3.3):
+        thr = connect_threshold(d, phy)
+        for h, connected in ((thr, True), (np.nextafter(thr, 0.0), False)):
+            links = FrameLinks.from_values(phy, [h], [h], h, [d], [d], d)
+            assert links.src_connected()[0] == links.dst_connected()[0] == connected
+            assert links.direct_connected() == connected
 
 
 def test_af_effective_snr_reference():

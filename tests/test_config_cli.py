@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,14 +15,16 @@ from relaysim.channel import GainTable, Rayleigh
 from relaysim.cli import main
 from relaysim.config import (
     PRESET_NAMES,
-    PROTOCOL_CHOICES,
     ConfigError,
+    ExperimentSpec,
     apply_overrides,
     load_config_file,
     load_preset,
     parse_values,
 )
+from relaysim.engine import SimConfig
 from relaysim.geometry import RandomWalk, RandomWaypoint
+from relaysim.protocols import PROTOCOL_NAMES
 from relaysim.validation import CheckResult
 
 
@@ -119,7 +122,8 @@ def test_parse_values_comma_list():
 
 
 def test_parse_values_errors():
-    for bad in ("1:2", "1:2:3:4", "2:1:0.5", "1:2:0", "a:b:c", "0:inf:1", "nan:1:1", "", " , "):
+    for bad in ("1:2", "1:2:3:4", "2:1:0.5", "1:2:0", "a:b:c", "0:inf:1", "nan:1:1", "", " , ",
+                "0.1,inf", "1e400", "0.1,nan", "0:1e400:1e399"):
         with pytest.raises(ConfigError):
             parse_values(bad)
 
@@ -197,7 +201,7 @@ def test_protocols_all_keyword(tmp_path):
     spec = load_config_file(
         write_ini(tmp_path, "[experiment]\nprotocols = all\n")
     )
-    assert spec.protocols == PROTOCOL_CHOICES
+    assert spec.protocols == PROTOCOL_NAMES
 
 
 def test_config_errors(tmp_path):
@@ -214,10 +218,19 @@ def test_config_errors(tmp_path):
         "[experiment]\nmode = fly\n",
         "[experiment]\naxis = nope\n",
         "[experiment]\nprotocols = obdwf,nope\n",
+        # keys that the model in force does not have
+        "[mobility]\nspeed_max = 0.9\n",
+        "[mobility]\nmodel = waypoint\nq = 0.3\n",
+        "[channel]\ngains = 0.5,1.5\nprobs = 0.5,0.5\n",
     ]
     for text in cases:
         with pytest.raises(ConfigError):
             load_config_file(write_ini(tmp_path, text))
+
+
+def test_empty_file_value_means_absent(tmp_path):
+    spec = load_config_file(write_ini(tmp_path, "[sim]\nbuffer_capacity =\nrelays = 9\n"))
+    assert spec.sim.buffer_capacity is None and spec.sim.K == 9
 
 
 def test_missing_file_raises():
@@ -257,7 +270,7 @@ def test_preset_contracts():
 def test_apply_overrides(tmp_path):
     spec = load_config_file(write_ini(tmp_path, FULL_INI))
     assert apply_overrides(spec, []) is spec
-    # identity rewrite: serializing and re-parsing reproduces the parsed plan
+    # an override that restates a value changes nothing
     assert apply_overrides(spec, ["sim.seed=7"]) == spec
     changed = apply_overrides(spec, ["sim.relays=64", "experiment.reps=5"])
     assert changed.sim.K == 64 and changed.reps == 5
@@ -272,6 +285,46 @@ def test_override_preset():
     spec = apply_overrides(load_preset("fig3a"), ["sim.relays=10", "sim.horizon=400"])
     assert spec.sim.K == 10 and spec.sim.horizon == 400
     assert spec.mode == "sweep"
+
+
+def test_override_keeps_fields_without_ini_keys():
+    sim = SimConfig(K=2, pinned_positions=((1.0, 0.0), (4.0, 0.5)), record_trace=True,
+                    traj_stride=3, abort_queue_threshold=50, conservation_check_every=100)
+    spec = apply_overrides(ExperimentSpec(sim=sim), ["sim.horizon=5000"])
+    assert spec.sim == replace(sim, horizon=5000)
+
+
+def test_override_keeps_the_model_in_force():
+    walk = ExperimentSpec(sim=SimConfig(mobility=RandomWalk(q=0.3)))
+    waypoint = ExperimentSpec(sim=SimConfig(mobility=RandomWaypoint(pause_set=(0, 5))))
+    # a key of the model in force changes that field alone
+    assert apply_overrides(waypoint, ["mobility.speed_max=0.9"]).sim.mobility == RandomWaypoint(
+        speed_max=0.9, pause_set=(0, 5))
+    assert apply_overrides(waypoint, ["sim.relays=20"]).sim.mobility.pause_set == (0, 5)
+    assert apply_overrides(walk, ["mobility.model=walk"]).sim.mobility == RandomWalk(q=0.3)
+    # switching the type starts from the new type's defaults
+    assert apply_overrides(walk, ["mobility.model=waypoint"]).sim.mobility == RandomWaypoint()
+    assert apply_overrides(waypoint, ["mobility.model=walk"]).sim.mobility == RandomWalk()
+    table = apply_overrides(walk, ["channel.fading=table", "channel.gains=0.5,1.5",
+                                   "channel.probs=0.5,0.5"]).sim.fading
+    assert table == GainTable(gains=(0.5, 1.5), probs=(0.5, 0.5))
+    assert apply_overrides(replace(walk, sim=replace(walk.sim, fading=table)),
+                           ["channel.fading=rayleigh"]).sim.fading == Rayleigh()
+
+
+@pytest.mark.parametrize("preset, sets", [
+    ("fig7", ["mobility.q=0.3"]),
+    ("fig3a", ["mobility.speed_max=0.9"]),
+    ("fig3a", ["mobility.pause_max=4"]),
+    ("fig3a", ["mobility.model=waypoint", "mobility.q=0.3"]),
+    ("fig3a", ["channel.gains=0.5,1.5", "channel.probs=0.5,0.5"]),
+    ("fig3a", ["channel.fading=table", "channel.gains=0.5,1.5"]),  # probs missing
+    ("fig5a", ["sim.buffer_capacity="]),  # empty values are rejected
+    ("fig5a", ["sim.buffer_capacity= "]),
+])
+def test_override_errors(preset, sets):
+    with pytest.raises(ConfigError):
+        apply_overrides(load_preset(preset), sets)
 
 
 # ---------- CLI ----------
@@ -444,6 +497,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run", "--config", "/nonexistent/zzz.ini"]) == 2
     assert main(["run", "--set", "nope.key=1"]) == 2
     assert main(["sweep", "--axis", "K", "--values", "bad:range"]) == 2
+    assert main(["sweep", "--axis", "lambda", "--values", "0.1,inf"]) == 2
+    assert main(["sweep", "--axis", "lambda", "--values", "1e400"]) == 2
     assert main(["stability", "--lo", "0.9", "--hi", "0.2",
                  "--set", "sim.relays=5"]) == 2
     err = capsys.readouterr().err

@@ -1,27 +1,24 @@
 """Disk geometry, equal-area strips, and mobility models."""
 
 import math
-import random
 
 import numpy as np
 import pytest
 
+from relaysim import engine
+from relaysim.engine import SimConfig
 from relaysim.geometry import (
     DiskGeometry,
     RandomWalk,
     RandomWaypoint,
-    WaypointState,
     build_disk,
     compute_region_boundaries,
     region_box,
     region_of,
-    sample_uniform_disk,
-    sample_uniform_in_region,
     segment_area,
-    step_random_walk,
-    step_waypoint,
     walk_next,
 )
+from relaysim.rng import CounterRng
 
 # boundaries of the radius-2.5, 5-strip reference disk, frozen from an
 # independent bisection of the circular-segment area function
@@ -97,44 +94,51 @@ def test_region_of_interior_and_boundaries():
         region_of(geo, (2.5, 2.6))
 
 
+def fleet(K, mobility, seed=1, num_regions=5):
+    """The engine's relay fleet on the radius-2.5 disk."""
+    geo = build_disk(2.5, num_regions)
+    cfg = SimConfig(K=K, num_regions=num_regions, mobility=mobility, seed=seed)
+    return geo, engine._Fleet(cfg, geo, CounterRng(seed))
+
+
+def uniform_disk_points(n, seed=1):
+    """The fleet's initial relay points, drawn uniformly on the disk, (n, 2)."""
+    return fleet(n, RandomWaypoint(), seed)[1].positions
+
+
 def test_sample_uniform_disk_inside_and_uniform():
     geo = build_disk(2.5, 5)
-    rng = random.Random(1)
-    pts = [sample_uniform_disk(geo, rng) for _ in range(20000)]
-    for x, y in pts[:200]:
-        assert (x - 2.5) ** 2 + y * y <= 2.5**2 * (1 + 1e-12)
+    pts = uniform_disk_points(20000)
+    assert np.all((pts[:, 0] - 2.5) ** 2 + pts[:, 1] ** 2 <= 2.5**2 * (1 + 1e-12))
     # equal-area strips must each catch ~1/5 of uniform points
-    counts = np.zeros(5)
-    for p in pts:
-        counts[region_of(geo, p) - 1] += 1
+    counts = np.bincount([region_of(geo, p) for p in pts], minlength=6)[1:]
     frac = counts / len(pts)
     assert np.all(np.abs(frac - 0.2) < 0.02), frac
 
 
 def test_sample_uniform_in_region():
-    geo = build_disk(2.5, 5)
-    rng = random.Random(5)
+    # strip changes are placed by rejection from the strip's box, into the strip
+    geo, walk = fleet(10, RandomWalk(), seed=5)
+    n = 300
+    frames = np.arange(n)
     for region in (1, 3, 5):
-        for _ in range(300):
-            p = sample_uniform_in_region(geo, region, rng)
-            assert region_of(geo, p) == region
-    with pytest.raises(ValueError):
-        sample_uniform_in_region(geo, 0, rng)
-    with pytest.raises(ValueError):
-        sample_uniform_in_region(geo, 6, rng)
+        state = np.full(n, 3**engine._WALK_GROUP * region)  # walk state of the strip
+        x, y = walk._place(frames, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), state)
+        assert all(region_of(geo, p) == region for p in zip(x, y))
 
 
 def test_region_box_covers_strip():
     geo = build_disk(2.5, 5)
-    rng = random.Random(9)
+    pts = uniform_disk_points(5000, seed=9)
+    regions = np.array([region_of(geo, p) for p in pts])
     for region in range(1, 6):
         x0, x1, h = region_box(geo, region)
         assert x0 == geo.boundaries[region - 1]
         assert x1 == geo.boundaries[region]
-        for _ in range(200):
-            x, y = sample_uniform_in_region(geo, region, rng)
-            assert x0 <= x <= x1
-            assert abs(y) <= h + 1e-12
+        x, y = pts[regions == region].T
+        assert x.size > 500
+        assert np.all((x0 <= x) & (x <= x1))
+        assert np.all(np.abs(y) <= h + 1e-12)
 
 
 def test_walk_next_semantics():
@@ -170,24 +174,15 @@ def test_walk_stationary_distribution_uniform():
     # the edge rules make the chain doubly stochastic, so the stationary
     # distribution over strips is uniform
     M, q = 5, 0.2
-    rng = random.Random(17)
+    rng = np.random.default_rng(17)
     n_relays, n_steps = 300, 2000
-    states = [rng.randrange(1, M + 1) for _ in range(n_relays)]
-    counts = np.zeros(M)
+    states = rng.integers(1, M + 1, n_relays)
+    counts = np.zeros(M + 1)
     for _ in range(n_steps):
-        states = [step_random_walk(s, q, M, rng) for s in states]
-        for s in states:
-            counts[s - 1] += 1
-    frac = counts / counts.sum()
+        states = walk_next(states, rng.random(n_relays), q, M)
+        counts += np.bincount(states, minlength=M + 1)
+    frac = counts[1:] / counts.sum()
     assert np.all(np.abs(frac - 1.0 / M) < 0.02), frac
-
-
-def test_step_random_walk_validates_region():
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        step_random_walk(0, 0.2, 5, rng)
-    with pytest.raises(ValueError):
-        step_random_walk(6, 0.2, 5, rng)
 
 
 def test_mobility_model_validation():
@@ -208,35 +203,36 @@ def test_mobility_model_validation():
 
 
 def test_waypoint_pause_and_advance():
-    geo = build_disk(2.5, 5)
     model = RandomWaypoint(speed_min=0.1, speed_max=0.2, pause_set=(3,))
-    rng = random.Random(4)
-    st = WaypointState(point=(1.0, 0.0), target=(2.0, 0.0), speed=0.25, pause_left=2)
+    geo, wp = fleet(2, model, seed=4)
+    # relay 0 pauses two frames, then heads for (2, 0) at 0.25 per frame;
+    # relay 1 reaches its target in its next step
+    wp.positions[:] = ((1.0, 0.0), (1.9, 0.0))
+    wp.targets[:] = ((2.0, 0.0), (2.0, 0.0))
+    wp.speeds[:] = (0.25, 0.25)
+    wp.pause_left[:] = (2, 0)
+    wp.walk(0, 1)
     # pause frames tick down without moving
-    st2 = step_waypoint(st, geo, model, rng)
-    assert st2.point == st.point and st2.pause_left == 1
-    st3 = step_waypoint(st2, geo, model, rng)
-    assert st3.pause_left == 0
-    # then the node advances straight toward the target by its speed
-    st4 = step_waypoint(st3, geo, model, rng)
-    assert math.isclose(st4.point[0], 1.25) and st4.point[1] == 0.0
-    # arrival snaps to the target, draws pause from the model's set
-    st5 = WaypointState(point=(1.9, 0.0), target=(2.0, 0.0), speed=0.25, pause_left=0)
-    st6 = step_waypoint(st5, geo, model, rng)
-    assert st6.point == (2.0, 0.0)
-    assert st6.pause_left == 3
-    assert model.speed_min <= st6.speed <= model.speed_max
-    assert (st6.target[0] - 2.5) ** 2 + st6.target[1] ** 2 <= 2.5**2 + 1e-12
+    assert tuple(wp.positions[0]) == (1.0, 0.0) and wp.pause_left[0] == 1
+    # arrival snaps to the target and draws a pause from the model's set, a
+    # speed in its range and a target in the disk
+    assert tuple(wp.positions[1]) == (2.0, 0.0)
+    assert wp.pause_left[1] == 3
+    assert model.speed_min <= wp.speeds[1] <= model.speed_max
+    tx, ty = wp.targets[1]
+    assert (tx - 2.5) ** 2 + ty**2 <= 2.5**2 + 1e-12
+    wp.walk(1, 1)
+    assert tuple(wp.positions[0]) == (1.0, 0.0) and wp.pause_left[0] == 0
+    # then the relay advances straight toward the target by its speed
+    wp.walk(2, 1)
+    assert math.isclose(wp.positions[0, 0], 1.25) and wp.positions[0, 1] == 0.0
+    src_dpow, _ = wp.fill()
+    assert math.isclose(src_dpow[0, 0], 1.25**4)
 
 
 def test_waypoint_stays_in_disk():
-    geo = build_disk(2.5, 5)
-    model = RandomWaypoint(speed_min=0.1, speed_max=0.6, pause_set=tuple(range(11)))
-    rng = random.Random(8)
-    st = WaypointState(point=sample_uniform_disk(geo, rng),
-                       target=sample_uniform_disk(geo, rng),
-                       speed=0.3, pause_left=0)
-    for _ in range(3000):
-        st = step_waypoint(st, geo, model, rng)
-        x, y = st.point
-        assert (x - 2.5) ** 2 + y * y <= 2.5**2 * (1 + 1e-9)
+    geo, wp = fleet(50, RandomWaypoint(speed_min=0.1, speed_max=0.6, pause_set=tuple(range(11))),
+                    seed=8)
+    wp.walk(0, 3000)
+    x, y = wp._pos[..., 0], wp._pos[..., 1]
+    assert np.all((x - 2.5) ** 2 + y * y <= 2.5**2 * (1 + 1e-9))
