@@ -108,7 +108,7 @@ def parse_values(text: str) -> tuple:
 def _as_number(x: float):
     if not math.isfinite(x):
         raise ConfigError(f"axis value {x} is not finite")
-    return int(round(x)) if abs(x - round(x)) < 1e-9 else x
+    return int(x) if x.is_integer() else x
 
 
 def _parse_pmf(text: str) -> tuple[tuple[int, float], ...]:

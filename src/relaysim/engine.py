@@ -713,7 +713,7 @@ def run(cfg: SimConfig) -> RunMetrics:
 
     backlog = cfg.infinite_backlog
     if backlog:
-        source = InfiniteBacklog(bits=bits)
+        source = InfiniteBacklog()
         arrivals_dist = None
     else:
         source = SourceQueue(cfg.buffer_capacity)
@@ -782,7 +782,7 @@ def run(cfg: SimConfig) -> RunMetrics:
                 busy = np.flatnonzero(batches)
             batch = int(batches[c])
             for _ in range(batch):
-                pkt = Packet(next_id, f, bits)
+                pkt = Packet(next_id, f)
                 next_id += 1
                 arrivals_count += 1
                 if source.offer(pkt):
@@ -848,7 +848,7 @@ def run(cfg: SimConfig) -> RunMetrics:
                 "delivered": outcome.delivered,
                 "decodes": outcome.decodes,
                 "removed": outcome.removed,
-                "relay_lens": tuple(len(q) for q in relays.queues),
+                "relay_lens": tuple(relays.queue_len(j) for j in range(K)),
             })
 
         if conservation_failure is None and check_every and f % check_every == 0:
@@ -979,8 +979,6 @@ def max_stable_rate(
     resolution: float = 0.02,
     batch_size: int | None = None,
     horizon: int | None = None,
-    slope_eps: float = 1e-4,
-    tail_factor: float = 3.0,
     abort_queue: int = 2_000,
 ) -> RateBracket:
     """Bracket the maximum stable arrival rate by bisection on Bernoulli(lam)
@@ -1010,17 +1008,11 @@ def max_stable_rate(
             track_connectivity=False, abort_queue_threshold=abort_queue,
             traj_stride=None,
         )
-        m = run(probe_cfg)
-        if m.aborted_unstable:
-            verdict_stable = False
-        else:
-            verdict = assess_stability(
-                m.qs_traj, m.traj_stride, warmup,
-                slope_eps=slope_eps, tail_factor=tail_factor,
-            )
-            verdict_stable = verdict.stable
-        probes.append((lam, verdict_stable))
-        return verdict_stable
+        verdict = run(probe_cfg).stability
+        if verdict is None:
+            raise ValueError(f"the probe at rate {lam} is too short for a stability verdict")
+        probes.append((lam, verdict.stable))
+        return verdict.stable
 
     if not stable_at(lo):
         return RateBracket(0.0, lo, tuple(probes), resolution)

@@ -7,9 +7,12 @@ packet is delivered per frame, and a frame has exactly one role: a source
 broadcast, a relay forward, or idle.
 
 Steps make no numpy call per frame: relay sets are ints with relay j at bit
-j (connectivity rows packed once per block, the bank's nonempty mask), and
-what depends only on the channel (af/afsc pair decisions, the dfsc combined
-SNR) is computed for a whole block at once.
+j (connectivity rows packed once per block, the bank's holder and nonempty
+masks), and what depends only on the channel (af/afsc pair decisions, the
+dfsc combined SNR) is computed for a whole block at once. The relay bank is
+the one record of which relays hold a packet: a broadcast stores its copies
+with one enqueue, and ddf and dfsc read their in-flight packet's holders back
+from it.
 
 Protocols:
   * Obdwf: relays with buffered packets contend whenever destination-connected
@@ -180,10 +183,9 @@ class FrameOutcome:
     role: str
     delivered: tuple[int, ...] = ()
     source_dequeued: bool = False
-    decodes: tuple[tuple[int, int], ...] = ()  # (relay, packet id) entering buffers
-    removed: tuple[tuple[int, int], ...] = ()  # (relay, packet id) leaving buffers
+    decodes: int = 0  # mask of the relays that stored the broadcast packet
+    removed: int = 0  # mask of the relays whose copy of the delivered packet left
     service: tuple[int, int] | None = None  # (broadcast-phase, forward-phase) frames
-    forwarder: int | None = None
 
 
 _IDLE = FrameOutcome(ROLE_IDLE)
@@ -205,20 +207,6 @@ def contention_select(contenders: int, rng) -> int:
     return (contenders & -contenders).bit_length() - 1
 
 
-def _offer(mask: int, pid: int, relays: RelayBank):
-    """Broadcast pid to the relays of mask, lowest first: the (relay, pid)
-    decodes the buffers kept, and the mask of those relays."""
-    decodes, kept = [], 0
-    while mask:
-        low = mask & -mask
-        j = low.bit_length() - 1
-        if relays.enqueue(j, pid):
-            decodes.append((j, pid))
-            kept |= low
-        mask ^= low
-    return tuple(decodes), kept
-
-
 class Obdwf:
     """Opportunistic buffered decode-and-forward with forwarding priority."""
 
@@ -229,25 +217,23 @@ class Obdwf:
         if relays.total_copies:
             contenders = links.dst_bits() & relays.nonempty
             if contenders:
-                winner = contention_select(contenders, rng)
-                pid = relays.head(winner)
-                removed = relays.dequeue_id(pid)
-                return FrameOutcome(
-                    ROLE_FORWARD, delivered=(pid,), removed=tuple(removed), forwarder=winner
-                )
+                pid = relays.head(contention_select(contenders, rng))
+                removed = relays.holders_of(pid)
+                relays.dequeue_id(pid)
+                return FrameOutcome(ROLE_FORWARD, delivered=(pid,), removed=removed)
         if len(source):
             pid = source.head().id
-            decodes, _ = _offer(links.src_bits(), pid, relays)
+            kept = relays.enqueue(links.src_bits(), pid)
             if links.direct_connected():
-                removed = relays.dequeue_id(pid)
+                relays.dequeue_id(pid)
                 source.pop_head()
                 return FrameOutcome(
                     ROLE_BROADCAST, delivered=(pid,), source_dequeued=True,
-                    decodes=decodes, removed=tuple(removed),
+                    decodes=kept, removed=kept,
                 )
-            if decodes:
+            if kept:
                 source.pop_head()
-                return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=decodes)
+                return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=kept)
             return _BROADCAST
         return _IDLE
 
@@ -262,24 +248,20 @@ class Ddf:
     def reset(self):
         self.phase = 1
         self.pid: int | None = None
-        self.holders = 0  # mask of the relays that decoded the in-flight packet
         self.rho = 0  # broadcast-phase frames of the in-flight packet
         self.eta = 0  # forward-phase frames
 
     def step(self, links: FrameLinks, source, relays: RelayBank, rng) -> FrameOutcome:
         if self.phase == 2:
             self.eta += 1
-            ready = self.holders & links.dst_bits()
-            if not ready:
-                return _FORWARD
             pid = self.pid
-            removed = relays.dequeue_id(pid)
+            removed = relays.holders_of(pid)
+            if not removed & links.dst_bits():
+                return _FORWARD
+            relays.dequeue_id(pid)
             svc = (self.rho, self.eta)
             self.reset()
-            return FrameOutcome(
-                ROLE_FORWARD, delivered=(pid,), removed=tuple(removed),
-                service=svc, forwarder=(ready & -ready).bit_length() - 1,
-            )
+            return FrameOutcome(ROLE_FORWARD, delivered=(pid,), removed=removed, service=svc)
         if not len(source):
             return _IDLE
         pid = source.head().id
@@ -292,11 +274,11 @@ class Ddf:
             return FrameOutcome(
                 ROLE_BROADCAST, delivered=(pid,), source_dequeued=True, service=svc
             )
-        decodes, self.holders = _offer(links.src_bits(), pid, relays)
-        if decodes:
+        kept = relays.enqueue(links.src_bits(), pid)
+        if kept:
             source.pop_head()
             self.phase = 2
-            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=decodes)
+            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=kept)
         return _BROADCAST
 
 
@@ -304,15 +286,13 @@ def _af_decisions(q_listen, q_forward, phy: PhyParams, n_active: int):
     """Decide the (listen, forward) frame pairs of matching (P, K) quality rows.
 
     Each pair delivers when the best n_active effective SNRs sum past the rate
-    threshold; its forwarder is the strongest of them. Returns two lists of P.
+    threshold. Returns a list of P.
     """
     snr = af_effective_snr(q_listen, q_forward, phy.power)
     n = min(n_active, snr.shape[1])
     top = np.argpartition(snr, -n, axis=1)[:, -n:]
     best = np.take_along_axis(snr, top, axis=1)
-    ok = phy.xi * best.sum(axis=1) >= phy.beta - 1.0
-    forwarder = np.take_along_axis(top, best.argmax(axis=1)[:, None], axis=1)[:, 0]
-    return ok.tolist(), forwarder.tolist()
+    return (phy.xi * best.sum(axis=1) >= phy.beta - 1.0).tolist()
 
 
 class Af:
@@ -325,7 +305,7 @@ class Af:
     n_active = 1
 
     def __init__(self):
-        self._block = (None, [], [])  # (block source qualities, ok, forwarder per listen row)
+        self._block = (None, [])  # (block source qualities, ok per listen row)
         self.reset()
 
     def reset(self):
@@ -345,19 +325,18 @@ class Af:
         row = links.row
         if q_src is links.src_qualities() and row == r + 1:
             if self._block[0] is not q_src:
-                self._block = (q_src, *_af_decisions(
+                self._block = (q_src, _af_decisions(
                     q_src[:-1], links.dst_qualities()[1:], links.phy, self.n_active))
-            _, ok, forwarder = self._block
+            ok = self._block[1]
         else:
-            ok, forwarder = _af_decisions(
+            ok = _af_decisions(
                 q_src[r:r + 1], links.dst_qualities()[row:row + 1], links.phy, self.n_active)
             r = 0
         pid = self.pid
         self.reset()
         if ok[r]:
             source.pop_head()
-            return FrameOutcome(
-                ROLE_FORWARD, delivered=(pid,), source_dequeued=True, forwarder=forwarder[r])
+            return FrameOutcome(ROLE_FORWARD, delivered=(pid,), source_dequeued=True)
         return _FORWARD
 
 
@@ -384,53 +363,55 @@ class DfSc:
     def reset(self):
         self.phase = 1
         self.pid: int | None = None
-        self.decoded = 0  # mask of the relays holding the in-flight packet
+        # packets counted both at the source and in relay buffers (phase-1 partial decode)
+        self.source_overlap = 0
         self.rho = 0
         self.eta = 0
         self._block = (None, [])  # (block destination qualities, success per row)
-
-    @property
-    def source_overlap(self) -> int:
-        """Packets counted both at the source and in relay buffers (phase-1 partial decode)."""
-        return 1 if (self.phase == 1 and self.decoded) else 0
 
     def step(self, links: FrameLinks, source, relays: RelayBank, rng) -> FrameOutcome:
         if self.phase == 2:
             self.eta += 1
             q_dst = links.dst_qualities()
             if self._block[0] is not q_dst:
-                m, phy = self.decoded, links.phy
+                m, phy = relays.holders_of(self.pid), links.phy
                 idx = [j for j in range(m.bit_length()) if m >> j & 1]  # ascending
                 total = q_dst[:, idx].sum(axis=1)
                 self._block = (q_dst, (phy.power * phy.xi * total >= phy.beta - 1.0).tolist())
             if not self._block[1][links.row]:
                 return _FORWARD
             pid = self.pid
-            removed = relays.dequeue_id(pid)
+            removed = relays.holders_of(pid)
+            relays.dequeue_id(pid)
             svc = (self.rho, self.eta)
             self.reset()
-            return FrameOutcome(ROLE_FORWARD, delivered=(pid,), removed=tuple(removed), service=svc)
+            return FrameOutcome(ROLE_FORWARD, delivered=(pid,), removed=removed, service=svc)
         if not len(source):
             return _IDLE
         pid = source.head().id
         self.pid = pid
         self.rho += 1
         if self.direct_delivery and links.direct_connected():
-            removed = relays.dequeue_id(pid) if self.decoded else ()
+            removed = relays.holders_of(pid)
+            if removed:
+                relays.dequeue_id(pid)
             source.pop_head()
             svc = (self.rho, 0)
             self.reset()
             return FrameOutcome(
                 ROLE_BROADCAST, delivered=(pid,), source_dequeued=True,
-                removed=tuple(removed), service=svc,
+                removed=removed, service=svc,
             )
-        decodes, kept = _offer(links.src_bits() & ~self.decoded, pid, relays)
-        self.decoded |= kept
-        if self.decoded.bit_count() >= self.n_decode:
+        kept = relays.enqueue(links.src_bits(), pid)
+        if not kept:
+            return _BROADCAST
+        if relays.holders_of(pid).bit_count() >= self.n_decode:
             source.pop_head()
             self.phase = 2
-            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=decodes)
-        return FrameOutcome(ROLE_BROADCAST, decodes=decodes) if decodes else _BROADCAST
+            self.source_overlap = 0
+            return FrameOutcome(ROLE_BROADCAST, source_dequeued=True, decodes=kept)
+        self.source_overlap = 1
+        return FrameOutcome(ROLE_BROADCAST, decodes=kept)
 
 
 PROTOCOL_NAMES = ("obdwf", "ddf", "af", "afsc", "dfsc")

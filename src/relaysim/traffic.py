@@ -2,8 +2,9 @@
 
 Arrivals are i.i.d. batches per frame from a finite pmf. Queues are FIFO;
 finite buffers drop the newest packet (tail drop) and count drops. Relay
-buffers store packet ids only; a delivery removes the id from every relay
-queue in one frame, preserving the order of what remains.
+buffers store packet ids only, as one holder mask per buffered id: a broadcast
+stores its copies at every decoding relay in one call, and a delivery removes
+the id from every relay in one call, preserving the order of what remains.
 
 Queue lengths follow the one-step recursion
     Q(t+1) = A(t+1) + max(Q(t) - U(t), 0)
@@ -77,7 +78,6 @@ class ArrivalDistribution:
 class Packet:
     id: int
     arrival_frame: int
-    bits: float
 
 
 class SourceQueue:
@@ -113,12 +113,10 @@ class SourceQueue:
 class InfiniteBacklog:
     """Source that always has a packet: ids are minted on first peek of each head."""
 
-    __slots__ = ("minted", "frame", "bits", "_head", "_next_id")
+    __slots__ = ("minted", "_head", "_next_id")
 
-    def __init__(self, start_id: int = 0, bits: float = 0.0):
+    def __init__(self, start_id: int = 0):
         self.minted = 0
-        self.frame = 0  # engine updates this each frame
-        self.bits = bits
         self._head: Packet | None = None
         self._next_id = start_id
 
@@ -127,7 +125,7 @@ class InfiniteBacklog:
 
     def head(self) -> Packet:
         if self._head is None:
-            self._head = Packet(self._next_id, -1, self.bits)
+            self._head = Packet(self._next_id, -1)
             self._next_id += 1
             self.minted += 1
         return self._head
@@ -143,10 +141,11 @@ class InfiniteBacklog:
 
 
 class RelayBank:
-    """K relay id-queues, a holder index for O(copies) removal by id, and the
-    int mask `nonempty` with bit j set while relay j's queue holds an id."""
+    """Relay buffers as one insertion-ordered {packet id: holder mask}, relay j
+    at bit j, and the int mask `nonempty` of the relays holding an id. Ids
+    enter in increasing order, so relay j's FIFO queue is the ids with bit j."""
 
-    __slots__ = ("K", "capacity", "drops", "queues", "holders", "nonempty", "total_copies")
+    __slots__ = ("K", "capacity", "drops", "masks", "nonempty", "total_copies")
 
     def __init__(self, K: int, capacity: int | None = None):
         if K < 1:
@@ -156,43 +155,56 @@ class RelayBank:
         self.K = K
         self.capacity = capacity
         self.drops = 0
-        self.queues: list[deque[int]] = [deque() for _ in range(K)]
-        self.holders: dict[int, list[int]] = {}
+        self.masks: dict[int, int] = {}
         self.nonempty = 0
         self.total_copies = 0
 
     def __len__(self) -> int:
-        return len(self.holders)  # distinct packet ids in the relay network
+        return len(self.masks)  # distinct packet ids in the relay network
 
-    def enqueue(self, relay: int, packet_id: int) -> bool:
-        """Append an id to one relay queue; False when the buffer is full (drop)."""
-        q = self.queues[relay]
-        if self.capacity is not None and len(q) >= self.capacity:
-            self.drops += 1
-            return False
-        q.append(packet_id)
-        self.holders.setdefault(packet_id, []).append(relay)
-        self.nonempty |= 1 << relay
-        self.total_copies += 1
-        return True
+    def enqueue(self, mask: int, packet_id: int) -> int:
+        """Store a copy of an id at each relay of mask that does not hold it yet;
+        returns the mask of the relays that kept one. Relays at capacity drop it."""
+        held = self.masks.get(packet_id, 0)
+        mask &= ~held
+        if self.capacity is not None:
+            for j in range(mask.bit_length()):
+                if mask >> j & 1 and self.queue_len(j) >= self.capacity:
+                    mask ^= 1 << j
+                    self.drops += 1
+        if mask:
+            self.masks[packet_id] = held | mask
+            self.nonempty |= mask
+            self.total_copies += mask.bit_count()
+        return mask
 
     def head(self, relay: int) -> int:
-        return self.queues[relay][0]
+        for pid, m in self.masks.items():
+            if m >> relay & 1:
+                return pid
+        raise IndexError(f"relay {relay} holds no packet")
 
     def queue_len(self, relay: int) -> int:
-        return len(self.queues[relay])
+        return sum(m >> relay & 1 for m in self.masks.values())
 
-    def holders_of(self, packet_id: int) -> list[int]:
-        return self.holders.get(packet_id, [])
+    def holders_of(self, packet_id: int) -> int:
+        """The mask of the relays holding an id."""
+        return self.masks.get(packet_id, 0)
 
-    def dequeue_id(self, packet_id: int) -> list[tuple[int, int]]:
-        """Remove every copy of an id across the bank; returns (relay, id) pairs removed."""
-        removed = []
-        for relay in self.holders.pop(packet_id, []):
-            q = self.queues[relay]
-            q.remove(packet_id)
-            if not q:
-                self.nonempty &= ~(1 << relay)
-            self.total_copies -= 1
-            removed.append((relay, packet_id))
-        return removed
+    def dequeue_id(self, packet_id: int) -> tuple[int, ...]:
+        """Remove every copy of an id; returns the relays it removed one from,
+        lowest first."""
+        mask = self.masks.pop(packet_id, 0)
+        self.total_copies -= mask.bit_count()
+        emptied = mask
+        for m in self.masks.values():
+            emptied &= ~m
+            if not emptied:
+                break
+        self.nonempty &= ~emptied
+        relays = []
+        while mask:
+            low = mask & -mask
+            relays.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(relays)

@@ -121,6 +121,16 @@ def test_parse_values_comma_list():
     assert parse_values("5.0") == (5,)
 
 
+def test_parse_values_keeps_near_integers_as_floats():
+    # only an exactly integral value becomes an int
+    assert parse_values("1e-10") == (1e-10,)
+    vals = parse_values("0.0000000004,2.0000000001")
+    assert vals == (4e-10, 2.0000000001)
+    assert all(isinstance(v, float) for v in vals)
+    assert parse_values("5.0") == (5,) and isinstance(parse_values("5.0")[0], int)
+    assert all(isinstance(v, int) for v in parse_values("20:200:20"))
+
+
 def test_parse_values_errors():
     for bad in ("1:2", "1:2:3:4", "2:1:0.5", "1:2:0", "a:b:c", "0:inf:1", "nan:1:1", "", " , ",
                 "0.1,inf", "1e400", "0.1,nan", "0:1e400:1e399"):

@@ -94,7 +94,7 @@ def test_trace_queue_recursion_and_ledgers():
     prev_total = 0
     for row in t:
         total = sum(row["relay_lens"])
-        assert total == prev_total + len(row["decodes"]) - len(row["removed"])
+        assert total == prev_total + row["decodes"].bit_count() - row["removed"].bit_count()
         prev_total = total
     # the sampled trajectory is the same gauge
     assert np.array_equal(m.qs_traj, np.array([row["s_s"] for row in t]))
@@ -255,6 +255,31 @@ def test_max_stable_rate_brackets():
     assert br.midpoint == 0.1
     with pytest.raises(ValueError):
         max_stable_rate(cfg, lo=0.5, hi=0.2)
+
+
+def test_max_stable_rate_judges_each_probe_once(monkeypatch):
+    judged, aborted = [], []
+    assess, run_ = engine.assess_stability, engine.run
+
+    def counted_assess(*args, **kw):
+        judged.append(args)
+        return assess(*args, **kw)
+
+    def counted_run(cfg):
+        m = run_(cfg)
+        aborted.append(m.aborted_unstable)
+        return m
+
+    monkeypatch.setattr(engine, "assess_stability", counted_assess)
+    monkeypatch.setattr(engine, "run", counted_run)
+    # probes 0.05 (stable), 0.7 (aborts) and 0.375 (stable)
+    br = max_stable_rate(always_connected_cfg(), lo=0.05, hi=0.7, resolution=0.4)
+    assert [lam for lam, _ in br.probes] == [0.05, 0.7, 0.375]
+    assert aborted == [False, True, False]
+    assert len(judged) == 2
+    # a probe whose window is too short for a verdict still raises
+    with pytest.raises(ValueError):
+        max_stable_rate(always_connected_cfg(), lo=0.05, hi=0.1, horizon=60_000)
 
 
 def test_validate_config_errors_and_warnings():

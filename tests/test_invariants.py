@@ -4,10 +4,13 @@ Every protocol, with finite and infinite buffers and random batch-arrival
 pmfs, must on every frame: deliver at most one packet, never deliver a packet
 id twice, move its source queue by Q(t+1) = A(t+1) + max(Q(t) - U(t), 0) with
 A the accepted arrivals and U the departure, and leave the relay bank with
-bit j of `nonempty` set iff queue j holds an id and `total_copies` equal to
-the sum of the queue lengths. Packet conservation is checked on every frame.
+its ids in increasing insertion order, `nonempty` the OR of the holder masks,
+`total_copies` the sum of their popcounts, and no relay holding more than
+`capacity` ids. Packet conservation is checked on every frame.
 """
 
+import functools
+import operator
 from unittest import mock
 
 from hypothesis import given, settings
@@ -54,9 +57,13 @@ class BankChecked:
 
     def step(self, links, source, relays, rng):
         out = self.inner.step(links, source, relays, rng)
-        lens = [len(q) for q in relays.queues]
-        assert relays.nonempty == sum(1 << j for j, n in enumerate(lens) if n)
-        assert relays.total_copies == sum(lens)
+        ids, masks = list(relays.masks), list(relays.masks.values())
+        assert ids == sorted(ids) and len(set(ids)) == len(ids)
+        assert all(masks)
+        assert relays.nonempty == functools.reduce(operator.or_, masks, 0)
+        assert relays.total_copies == sum(m.bit_count() for m in masks)
+        if relays.capacity is not None:
+            assert max(map(relays.queue_len, range(relays.K))) <= relays.capacity
         return out
 
 

@@ -1,6 +1,5 @@
 """Protocol state machines against scripted and randomized channel frames."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -64,7 +63,7 @@ def links_for(phy, h_src, h_dst, h_direct, d=1.0, d_direct=5.0):
 def full_source(*ids):
     q = SourceQueue()
     for i in ids:
-        q.offer(Packet(i, 0, 100.0))
+        q.offer(Packet(i, 0))
     return q
 
 
@@ -75,17 +74,15 @@ def test_obdwf_forward_preempts_broadcast_and_flushes():
     phy = phy_beta2()
     proto = Obdwf()
     bank = RelayBank(3)
-    bank.enqueue(0, 7)
-    bank.enqueue(2, 7)
-    bank.enqueue(2, 8)
+    bank.enqueue(0b101, 7)
+    bank.enqueue(0b100, 8)
     source = full_source(9)
     # relays 0 and 2 are destination-connected (gain 1 >= 0.01); source side moot
     links = links_for(phy, [1.0, 1.0, 1.0], [1.0, 0.0, 1.0], 0.0)
     out = proto.step(links, source, bank, ScriptRng([0.0]))
     assert out.role == ROLE_FORWARD
     assert out.delivered == (7,)
-    assert out.forwarder == 0
-    assert sorted(out.removed) == [(0, 7), (2, 7)]  # every copy of 7 leaves
+    assert out.removed == 0b101  # every copy of 7 leaves
     assert bank.total_copies == 1 and bank.head(2) == 8
     assert len(source) == 1  # the source never acted this frame
     assert not out.source_dequeued
@@ -94,12 +91,11 @@ def test_obdwf_forward_preempts_broadcast_and_flushes():
 def test_obdwf_contention_uniform_pick():
     phy = phy_beta2()
     bank = RelayBank(3)
-    bank.enqueue(0, 7)
-    bank.enqueue(2, 8)
+    bank.enqueue(0b001, 7)
+    bank.enqueue(0b100, 8)
     links = links_for(phy, [0.0] * 3, [1.0, 0.0, 1.0], 0.0)
-    # contenders are [0, 2]; u = 0.6 picks index 1 -> relay 2
+    # contenders are [0, 2]; u = 0.6 picks index 1 -> relay 2, whose head is 8
     out = Obdwf().step(links, full_source(9), bank, ScriptRng([0.6]))
-    assert out.forwarder == 2
     assert out.delivered == (8,)
 
 
@@ -112,9 +108,9 @@ def test_obdwf_broadcast_decodes_and_dequeues():
     assert out.role == ROLE_BROADCAST
     assert out.delivered == ()
     assert out.source_dequeued
-    assert sorted(out.decodes) == [(0, 9), (2, 9)]
+    assert out.decodes == 0b101
     assert len(source) == 1 and source.head().id == 10
-    assert sorted(bank.holders_of(9)) == [0, 2]
+    assert bank.holders_of(9) == 0b101
 
 
 def test_obdwf_direct_delivery_flushes_fresh_decodes():
@@ -127,8 +123,8 @@ def test_obdwf_direct_delivery_flushes_fresh_decodes():
     assert out.role == ROLE_BROADCAST
     assert out.delivered == (9,)
     assert out.source_dequeued
-    assert out.decodes == ((0, 9),)
-    assert out.removed == ((0, 9),)  # the copy never lingers
+    assert out.decodes == 0b1
+    assert out.removed == 0b1  # the copy never lingers
     assert bank.total_copies == 0 and len(source) == 0
 
 
@@ -163,16 +159,16 @@ def test_ddf_two_phase_service_accounting():
     assert out.role == ROLE_BROADCAST and not out.source_dequeued
     # frame 2: relay 0 decodes, phase flips
     out = proto.step(links_for(phy, [1.0, 0.0], [1.0, 1.0], 0.0), source, bank, rng)
-    assert out.source_dequeued and out.decodes == ((0, 5),)
+    assert out.source_dequeued and out.decodes == 0b01
     assert len(source) == 1
     # frame 3: forwarding fails; the source is blocked even though it has work
     out = proto.step(links_for(phy, [1.0, 1.0], [0.0, 0.0], 10.0), source, bank, rng)
     assert out.role == ROLE_FORWARD and out.delivered == ()
     assert len(source) == 1
-    # frame 4: both sides connect; the lowest-index holder forwards
+    # frame 4: both sides connect; relay 0, the one holder, forwards
     out = proto.step(links_for(phy, [0.0, 0.0], [1.0, 1.0], 0.0), source, bank, rng)
     assert out.delivered == (5,)
-    assert out.forwarder == 0
+    assert out.removed == 0b01
     assert out.service == (2, 2)  # two broadcast frames, two forward frames
     assert bank.total_copies == 0
     # the next packet starts a fresh service
@@ -220,7 +216,6 @@ def test_af_two_frame_cycle_success():
     out = proto.step(links_for(phy, [0.0, 0.0], [1.0, 0.0], 0.0), source, bank, rng)
     assert out.role == ROLE_FORWARD
     assert out.delivered == (3,) and out.source_dequeued
-    assert out.forwarder == 0
     assert len(source) == 0
     assert bank.total_copies == 0  # analog relays never buffer
 
@@ -278,8 +273,8 @@ def test_afsc_one_equals_af_trace():
     next_id = 0
     for f in range(200):
         if f % 3 == 0:
-            qa.offer(Packet(next_id, f, 1.0))
-            qb.offer(Packet(next_id, f, 1.0))
+            qa.offer(Packet(next_id, f))
+            qb.offer(Packet(next_id, f))
             next_id += 1
         h_src = g.exponential(size=2)
         h_dst = g.exponential(size=2)
@@ -301,11 +296,11 @@ def test_dfsc_gathers_decoders_then_combines():
     source = full_source(4, 5)
     rng = ScriptRng()
     out = proto.step(links_for(phy, [1.0, 0.0, 0.0], [0.0] * 3, 0.0), source, bank, rng)
-    assert out.decodes == ((0, 4),) and not out.source_dequeued
+    assert out.decodes == 0b001 and not out.source_dequeued
     assert proto.source_overlap == 1  # packet 4 is at the source AND in a buffer
     # relay 0 decoding again adds nothing; relay 1 completes the set
     out = proto.step(links_for(phy, [1.0, 1.0, 0.0], [0.0] * 3, 0.0), source, bank, rng)
-    assert out.decodes == ((1, 4),)
+    assert out.decodes == 0b010
     assert out.source_dequeued and len(source) == 1
     assert proto.source_overlap == 0
     # combined forward: P*xi*(sum of h/d^4) must reach beta-1 = 1
@@ -326,7 +321,7 @@ def test_dfsc_direct_delivery_flushes_partial_decodes():
     proto.step(links_for(phy, [1.0, 0.0], [0.0] * 2, 0.0), source, bank, rng)
     out = proto.step(links_for(phy, [0.0, 0.0], [0.0] * 2, 10.0), source, bank, rng)
     assert out.delivered == (4,) and out.source_dequeued
-    assert out.removed == ((0, 4),)
+    assert out.removed == 0b01
     assert out.service == (2, 0)
     assert bank.total_copies == 0
     assert proto.source_overlap == 0
@@ -344,8 +339,8 @@ def test_dfsc_one_decoder_matches_ddf_single_relay():
     next_id = 0
     for f in range(300):
         if g.random() < 0.4:
-            qa.offer(Packet(next_id, f, 1.0))
-            qb.offer(Packet(next_id, f, 1.0))
+            qa.offer(Packet(next_id, f))
+            qb.offer(Packet(next_id, f))
             next_id += 1
         h_src = g.exponential(size=1)
         h_dst = g.exponential(size=1)
@@ -353,8 +348,6 @@ def test_dfsc_one_decoder_matches_ddf_single_relay():
         lb = links_for(phy, h_src, h_dst, 0.0, d=1.2)
         oa = a.step(la, qa, ba, ScriptRng())
         ob = b.step(lb, qb, bb, ScriptRng())
-        oa = dataclasses.replace(oa, forwarder=None)
-        ob = dataclasses.replace(ob, forwarder=None)
         assert oa == ob, f"frame {f}: {oa} vs {ob}"
         assert len(qa) == len(qb)
         assert ba.total_copies == bb.total_copies
@@ -375,7 +368,7 @@ def test_frame_invariants_random_grid(name):
     tie = NpRng(7)
     for f in range(500):
         if g.random() < 0.3:
-            source.offer(Packet(next_id, f, 1.0))
+            source.offer(Packet(next_id, f))
             offered.add(next_id)
             next_id += 1
         links = links_for(phy, g.exponential(size=4), g.exponential(size=4),
@@ -384,10 +377,9 @@ def test_frame_invariants_random_grid(name):
         assert out.role in (ROLE_BROADCAST, ROLE_FORWARD, ROLE_IDLE)
         assert len(out.delivered) <= 1
         assert set(out.delivered) <= offered
-        assert bank.total_copies == sum(len(q) for q in bank.queues)
-        assert len(bank) == len(bank.holders)
+        assert bank.total_copies == sum(m.bit_count() for m in bank.masks.values())
         for pid in out.delivered:
-            assert bank.holders_of(pid) == []
+            assert bank.holders_of(pid) == 0
 
 
 def test_contention_select_bounds():
