@@ -8,7 +8,6 @@ the results against closed-form order and queueing expressions.
 
 from .analysis import (
     OrderParams,
-    PgfSpec,
     ServiceMoments,
     StabilityError,
     ddf_delay_order,
@@ -20,7 +19,6 @@ from .analysis import (
     mx_g1_wait,
     obdwf_delay_order,
     obdwf_throughput_bound,
-    pgf_mean_system,
     stability_gain_order,
 )
 from .channel import (
@@ -74,11 +72,11 @@ from .validation import CheckResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrderParams", "PgfSpec", "ServiceMoments", "StabilityError",
+    "OrderParams", "ServiceMoments", "StabilityError",
     "ddf_delay_order", "ddf_service_components", "ddf_service_time_order",
     "ddf_throughput_order", "intake_time_order", "loglog_order_fit",
     "mx_g1_wait", "obdwf_delay_order", "obdwf_throughput_bound",
-    "pgf_mean_system", "stability_gain_order",
+    "stability_gain_order",
     "GainTable", "PhyParams", "Rayleigh", "af_effective_snr",
     "connect_threshold", "connection_probability_mc",
     "PRESET_NAMES", "ConfigError", "ExperimentSpec",

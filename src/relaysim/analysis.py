@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "OrderParams",
     "ServiceMoments",
-    "PgfSpec",
     "intake_time_order",
     "ddf_service_components",
     "ddf_service_time_order",
@@ -30,7 +29,6 @@ __all__ = [
     "ddf_delay_order",
     "stability_gain_order",
     "mx_g1_wait",
-    "pgf_mean_system",
     "loglog_order_fit",
     "StabilityError",
 ]
@@ -178,66 +176,6 @@ def mx_g1_wait(lam1: float, lam2: float, moments: ServiceMoments) -> float:
         raise StabilityError(f"offered load lam1*b = {lam1 * b} >= 1")
     num = lam1 * lam1 * b2 - lam1 * lam1 * b - lam1 * b + lam2 * b
     return num / (2.0 * lam1 * (1.0 - lam1 * b)) + b
-
-
-@dataclass(frozen=True)
-class PgfSpec:
-    """Finite-support batch-size and service-time pmfs, as p.g.f. evaluators."""
-
-    arrival_pmf: dict[int, float]
-    service_pmf: dict[int, float]
-
-    def __post_init__(self):
-        for name, pmf in (("arrival", self.arrival_pmf), ("service", self.service_pmf)):
-            if not pmf:
-                raise ValueError(f"{name} pmf is empty")
-            if abs(sum(pmf.values()) - 1.0) > 1e-12:
-                raise ValueError(f"{name} pmf sums to {sum(pmf.values())}, expected 1")
-            if any(k < 0 or p < 0 for k, p in pmf.items()):
-                raise ValueError(f"{name} pmf has negative support or mass")
-        if any(k < 1 for k in self.service_pmf):
-            raise ValueError("service times are at least one frame")
-
-    def arrival_pgf(self, z):
-        return sum(p * z**k for k, p in self.arrival_pmf.items())
-
-    def service_pgf(self, z):
-        return sum(p * z**k for k, p in self.service_pmf.items())
-
-    @property
-    def lam1(self) -> float:
-        return sum(k * p for k, p in self.arrival_pmf.items())
-
-    @property
-    def b(self) -> float:
-        return sum(k * p for k, p in self.service_pmf.items())
-
-
-def pgf_mean_system(spec: PgfSpec, lam1: float | None = None) -> float:
-    """Mean frames in system from the queue-length p.g.f., independent of mx_g1_wait.
-
-    E[N] is extracted as P'(1) by central differences with Richardson
-    extrapolation across the removable singularity at z = 1 (the p.g.f. is
-    analytic there), and converted to time by Little's law.
-    """
-    if lam1 is None:
-        lam1 = spec.lam1
-    b = spec.b
-    if lam1 == 0:
-        return b
-    if lam1 * b >= 1.0:
-        raise StabilityError(f"offered load lam1*b = {lam1 * b} >= 1")
-
-    def pgf(z: float) -> float:
-        bl = spec.service_pgf(spec.arrival_pgf(z))
-        return (1.0 - lam1 * b) * (1.0 - z) * bl / (bl - z)
-
-    def central(h: float) -> float:
-        return (pgf(1.0 + h) - pgf(1.0 - h)) / (2.0 * h)
-
-    h = 1e-3
-    mean_n = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    return mean_n / lam1
 
 
 def loglog_order_fit(x, y) -> tuple[float, float]:

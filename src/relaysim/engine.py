@@ -16,20 +16,12 @@ the block size never changes a result.
 The loop pays only for busy frames. A frame whose arrivals leave the source
 queue and the relay bank empty is idle for every protocol, and so is every
 frame after it up to the next arrival, so the loop jumps over that span and
-books it as idle. Each frame's strips follow from the last, so the strip walk
-still runs for every frame: _Fleet.skip walks the frames that no step reads
-in chunks of about 1 MiB of walk arrays, keeping only each relay's last strip
-change of each chunk, unplaced; the block that starts at the next stepped
-frame is then walked (_Fleet.walk) and its placement and fading drawn
-(_Fleet.fill, FrameLinks.fill), the carried changes placed first. The walk
-steps _WALK_GROUP frames per lookup in tables built from walk_next. Runs that
-read every frame (connectivity tracking, the trace) skip nothing.
-
-Placement works on a block's strip changes as flat arrays: one rejection
-attempt for every change, then a few attempts at a time for the rejects,
-each change keeping its first accepted attempt; the d^alpha rows are then
-forward-filled from the changes by index. Packet conservation is checked
-every conservation_check_every frames; the first failing check is kept in
+books it as idle. The channel is drawn only for the block that starts at the
+next stepped frame: geometry.Fleet.dpow walks the relays through the frames
+skipped before it and returns the block's d^alpha rows, and FrameLinks.fill
+takes them with the block's fading. Runs that read every frame (connectivity
+tracking, the trace) skip nothing. Packet conservation is checked every
+conservation_check_every frames; the first failing check is kept in
 RunMetrics.conservation_failure with its balance terms.
 """
 
@@ -42,15 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import GainTable, PhyParams, Rayleigh
-from .geometry import (
-    DiskGeometry,
-    RandomWalk,
-    RandomWaypoint,
-    build_disk,
-    region_box,
-    region_of,
-    walk_next,
-)
+from .geometry import Fleet, RandomWalk, RandomWaypoint, build_disk
+from .geometry import walk_next  # unused: perfbench/tracing.py patches it here (ROADMAP item 8)
 from .protocols import (
     PROTOCOL_NAMES,
     ROLE_BROADCAST,
@@ -64,14 +49,9 @@ from .rng import (
     STREAM_FADE_DIRECT,
     STREAM_FADE_DST,
     STREAM_FADE_SRC,
-    STREAM_INIT,
-    STREAM_PLACE,
     STREAM_PROTO,
-    STREAM_WALK,
-    STREAM_WAYPOINT,
     CounterRng,
     FrameStream,
-    keyed_uniforms,
 )
 from .traffic import ArrivalDistribution, InfiniteBacklog, Packet, RelayBank, SourceQueue
 
@@ -94,8 +74,6 @@ __all__ = [
     "validate_config",
     "SWEEP_AXES",
 ]
-
-_MIN_SEPARATION = 1e-9  # distance clamp keeping path loss finite
 
 _DEFAULT_ARRIVALS = ((15, 0.001), (0, 0.999))
 
@@ -191,6 +169,13 @@ def validate_config(cfg: SimConfig) -> list[str]:
         raise ValueError("need an arrival pmf unless infinite_backlog is set")
     if cfg.pinned_positions is not None and len(cfg.pinned_positions) != cfg.K:
         raise ValueError("pinned_positions must list exactly K points")
+    if cfg.pinned_positions is not None and isinstance(cfg.mobility, RandomWaypoint):
+        raise ValueError("pinned_positions hold every relay still; the waypoint mobility "
+                         "would be ignored")
+    if cfg.resample_within_region and (cfg.pinned_positions is not None
+                                       or not isinstance(cfg.mobility, RandomWalk)):
+        raise ValueError("resample_within_region applies to the strip walk of unpinned "
+                         "relays only")
     rate = effective_rate(cfg)
     bits = effective_packet_bits(cfg)
     slot_bits = rate * cfg.tau
@@ -206,6 +191,13 @@ def validate_config(cfg: SimConfig) -> list[str]:
 
 # ---------- stability ----------
 
+# A stable trajectory's least-squares slope stays below _SLOPE_EPS packets per
+# frame and its final-decile mean within _TAIL_FACTOR of its post-warmup mean;
+# the post-warmup window must span _MIN_WINDOW frames.
+_SLOPE_EPS = 1e-4
+_TAIL_FACTOR = 3.0
+_MIN_WINDOW = 200_000
+
 
 @dataclass(frozen=True)
 class StabilityVerdict:
@@ -217,21 +209,9 @@ class StabilityVerdict:
     window_frames: int
 
 
-def assess_stability(
-    trajectory,
-    stride: int = 1,
-    warmup_frames: int = 0,
-    slope_eps: float = 1e-4,
-    tail_factor: float = 3.0,
-    min_window: int = 200_000,
-) -> StabilityVerdict:
-    """Classify a queue-length trajectory as stable or growing.
-
-    Stable means the least-squares slope over the post-warmup window stays
-    below slope_eps packets/frame AND the final-decile mean stays within
-    tail_factor of the overall post-warmup mean. The window must span at
-    least min_window frames.
-    """
+def assess_stability(trajectory, stride: int = 1, warmup_frames: int = 0) -> StabilityVerdict:
+    """Classify a queue-length trajectory as stable or growing: stable when
+    both the slope and the tail test pass over the post-warmup window."""
     q = np.asarray(trajectory, dtype=np.float64)
     frames = np.arange(q.size, dtype=np.float64) * stride
     post = frames >= warmup_frames
@@ -239,350 +219,23 @@ def assess_stability(
     if q.size < 10:
         raise ValueError("trajectory has fewer than 10 post-warmup samples")
     window = frames[-1] - frames[0]
-    if window < min_window:
-        raise ValueError(f"post-warmup window {window:.0f} frames is below {min_window}")
+    if window < _MIN_WINDOW:
+        raise ValueError(f"post-warmup window {window:.0f} frames is below {_MIN_WINDOW}")
     slope = float(np.polyfit(frames, q, 1)[0])
     overall = float(q.mean())
     tail = float(q[-max(1, q.size // 10):].mean())
     tail_ratio = tail / overall if overall > 0 else (0.0 if tail == 0 else math.inf)
-    stable = slope < slope_eps and tail <= tail_factor * overall
+    stable = slope < _SLOPE_EPS and tail <= _TAIL_FACTOR * overall
     return StabilityVerdict(stable, slope, tail_ratio, overall, int(q.size), int(window))
 
-
-# ---------- relay fleet ----------
 
 # Frames per block: the block's arrays (walk draws and strips, fading gains,
 # d^alpha rows, connectivity, and the temporaries of drawing them) take about
 # _CELL_BYTES per (frame, relay) cell, so a block holds _BLOCK_BYTES / (K *
-# _CELL_BYTES) frames: 74 at K = 110, one frame from K = 8192 up.
+# _CELL_BYTES) frames: 74 at K = 110, one frame from K = 8192 up. The fleet
+# sizes the chunks of the frames it walks unread from the same budget.
 _BLOCK_BYTES = 1 << 20
 _CELL_BYTES = 128
-# Strip walk: frames stepped per table lookup, and the bytes per (frame, relay)
-# cell of walking frames that no step reads (walk draws and their temporaries,
-# states and carry: 21-24 bytes under tracemalloc), which size their chunks
-# from _BLOCK_BYTES: 397 frames at K = 110. Six frames per lookup make the
-# tables 3.6 times larger; in saturation runs that moved glibc's heap into
-# trimming, and the af decisions faulted their memory in again every block.
-_WALK_GROUP = 5
-_WALK_CELL_BYTES = 24
-# Rejection placement: attempts drawn per retry round, and the attempt cap. An
-# edge strip accepts about 0.7 of its box, so after one round of 8 a reject is
-# still unplaced with probability about 1e-4.
-_PLACE_BATCH = 8
-_PLACE_ATTEMPTS = 200
-
-
-class _Fleet:
-    """Relay mobility: walked for every frame, placed on demand.
-
-    skip(f0, n) steps every relay through frames f0 .. f0+n-1, which no step
-    reads. walk(f0, n) steps them through the block f0 .. f0+n-1, and fill()
-    then returns the d^alpha rows of every relay toward the source and toward
-    the destination for the block's frames, each of shape (n, K). The engine
-    skips the frames up to the first stepped frame of a block and walks and
-    fills the block from that frame on.
-
-    Under the random walk one (n, K) draw of walk uniforms gives every relay's
-    strip in every frame, through transition tables built from walk_next.
-    Each uniform decides a step through its code [u >= q] + [u >= 1-q]; the
-    codes of _WALK_GROUP frames form a base-3 number, first frame lowest, and
-    table i maps a walk state (S*strip, S = 3**_WALK_GROUP) plus that number
-    to the state i+1 frames on. So one add and one take per group give each
-    group's start state, and _WALK_GROUP takes give every row. Skipped frames
-    are walked in chunks of _BLOCK_BYTES / (K * _WALK_CELL_BYTES) frames.
-
-    A relay whose strip changes in frame f is placed uniformly in the new
-    strip by rejection from the strip's bounding box: mover rank i of the m
-    movers of frame f reads counter lanes (a*2m + i, a*2m + m + i) of the
-    placement stream on attempt a. The lanes do not depend on any other
-    mover's outcome, and between changes a relay keeps its point, so its point
-    in frame f is a function of its last change up to f alone. Changes in
-    skipped frames are not placed: after each chunk every relay that changed
-    strip in it carries its last change as (change frame, mover rank, mover
-    count), in the strip it still holds.
-
-    fill() takes the changes of the block from one flatnonzero, in
-    frame-major order, after the carried changes, which give their relays'
-    points before the block. Attempt 0 runs over all of them at once; the
-    rejects then draw _PLACE_BATCH attempts per round in one call and keep
-    the first accepted one, which is the point a loop over single attempts
-    would keep. The d^alpha rows are forward-filled by change index: each
-    cell holds the index of its relay's last change up to its frame (a
-    running maximum down the rows), and one take per side reads the d^alpha
-    values. The waypoint walk carries targets and pauses from frame to frame
-    and is stepped frame by frame; pinned relays repeat one row.
-    """
-
-    def __init__(self, cfg: SimConfig, geometry: DiskGeometry, rng: CounterRng):
-        self.rng = rng
-        K = cfg.K
-        self.K = K
-        self.alpha = cfg.alpha
-        r = geometry.radius
-        self.radius = r
-        self.mobility = None if cfg.pinned_positions is not None else cfg.mobility
-        self.f0 = self.n = 0  # the walked block
-        positions = np.empty((K, 2), dtype=np.float64)
-        if self.mobility is None:
-            for j, (x, y) in enumerate(cfg.pinned_positions):
-                positions[j] = (x, y)
-                region_of(geometry, (x, y))  # raises if outside the disk
-        else:
-            u = rng.uniforms(STREAM_INIT, 0, 2 * K)
-            rad = r * np.sqrt(u[:K])
-            ang = 2.0 * np.pi * u[K:]
-            positions[:, 0] = r + rad * np.cos(ang)
-            positions[:, 1] = rad * np.sin(ang)
-        self.src_dpow, self.dst_dpow = self._dpow(positions[:, 0], positions[:, 1])
-        if isinstance(self.mobility, RandomWalk):
-            M = cfg.num_regions
-            bounds = np.asarray(geometry.boundaries)
-            regions = np.clip(np.searchsorted(bounds, positions[:, 0], side="right"), 1, M)
-            q = cfg.mobility.q
-            self.q = q
-            # walk_next reads u only through (u < q, u >= 1-q), so the code
-            # c = [u >= q] + [u >= 1-q] decides the step; representatives of the
-            # three codes are u = 0, q and 1. next3 maps 3*strip + c to
-            # 3*next strip; table i is next3 composed over the digits 0..i of
-            # a group's base-3 code, from walk state S*strip.
-            strips = np.repeat(np.arange(M + 1, dtype=np.int64), 3)
-            reps = np.tile(np.array([0.0, q, 1.0]), M + 1)
-            next3 = 3 * np.asarray(walk_next(strips, reps, q, M), dtype=np.int64)
-            S = 3**_WALK_GROUP
-            digits = np.tile(np.arange(S), M + 1)
-            state3 = np.repeat(3 * np.arange(M + 1), S)
-            self._tables = np.empty((_WALK_GROUP, (M + 1) * S), dtype=np.int64)
-            for table in self._tables:
-                state3 = next3.take(state3 + digits % 3)
-                digits //= 3
-                np.multiply(state3, S // 3, out=table)
-            self._pow3 = 3.0 ** np.arange(_WALK_GROUP)
-            # strip boxes indexed by walk state: right edge, width (negative), half-height
-            x0, x1, hh = np.zeros((3, M + 1))
-            x0[1:], x1[1:], hh[1:] = zip(*(region_box(geometry, k) for k in range(1, M + 1)))
-            self._box_x1, self._box_dx, self._box_hh = (np.repeat(v, S) for v in (x1, x0 - x1, hh))
-            self.resample = cfg.resample_within_region
-            # walk state of the walked frames, row 0 from the frame before them
-            self._s = S * regions.astype(np.int64)[None]
-            # each relay's last unplaced change: frame (-1: none), mover rank, mover count
-            self._pend = np.full((3, K), -1, dtype=np.int64)
-        elif isinstance(self.mobility, RandomWaypoint):
-            self.positions = positions
-            u = rng.uniforms(STREAM_INIT, 1, 3 * K)
-            trad = r * np.sqrt(u[:K])
-            tang = 2.0 * np.pi * u[K : 2 * K]
-            self.targets = np.column_stack((r + trad * np.cos(tang), trad * np.sin(tang)))
-            m = self.mobility
-            self.speeds = m.speed_min + (m.speed_max - m.speed_min) * u[2 * K :]
-            self.pause_left = np.zeros(K, dtype=np.int64)
-            self._pause_set = np.asarray(m.pause_set, dtype=np.int64)
-
-    def _dpow(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d^alpha toward the source and the destination of the points (x, y)."""
-        r2 = 2.0 * self.radius
-        d2s = x**2 + y**2
-        d2d = (x - r2) ** 2 + y**2
-        np.maximum(d2s, _MIN_SEPARATION**2, out=d2s)
-        np.maximum(d2d, _MIN_SEPARATION**2, out=d2d)
-        if self.alpha == 4.0:
-            return d2s * d2s, d2d * d2d
-        half = 0.5 * self.alpha
-        return d2s**half, d2d**half
-
-    def walk(self, f0: int, n: int) -> None:
-        """Step the relays through the block f0 .. f0+n-1 and keep it for fill()."""
-        if isinstance(self.mobility, RandomWalk):
-            self._s = self._walk_states(f0, n, self._s[-1])
-        elif isinstance(self.mobility, RandomWaypoint):
-            self._pos = np.empty((n, self.K, 2))
-            for b in range(n):
-                self._step_waypoint(f0 + b)
-                self._pos[b] = self.positions
-        self.f0, self.n = f0, n
-
-    def skip(self, f0: int, n: int) -> None:
-        """Step the relays through frames f0 .. f0+n-1, which no step reads."""
-        if isinstance(self.mobility, RandomWalk):
-            chunk = max(1, _BLOCK_BYTES // (_WALK_CELL_BYTES * self.K))
-            s, self._s = self._s, None
-            for c0 in range(f0, f0 + n, chunk):
-                s0 = s[-1].copy()
-                del s  # only the last state is kept while the next chunk is drawn
-                s = self._walk_states(c0, min(chunk, f0 + n - c0), s0)
-                self._carry(self._moved(s), c0)
-            self._s = s[-1:].copy()
-        elif isinstance(self.mobility, RandomWaypoint):
-            for f in range(f0, f0 + n):
-                self._step_waypoint(f)
-
-    def fill(self) -> tuple[np.ndarray, np.ndarray]:
-        """d^alpha rows toward the source and the destination, frames f0 .. f0+n-1."""
-        if isinstance(self.mobility, RandomWalk):
-            return self._fill_walk()
-        if isinstance(self.mobility, RandomWaypoint):
-            return self._dpow(self._pos[..., 0], self._pos[..., 1])
-        shape = (self.n, self.K)
-        return np.broadcast_to(self.src_dpow, shape), np.broadcast_to(self.dst_dpow, shape)
-
-    def _walk_states(self, f0: int, n: int, s0: np.ndarray) -> np.ndarray:
-        """(n+1, K) walk states: s0, then those of frames f0 .. f0+n-1."""
-        K, r = self.K, _WALK_GROUP
-        # The codes are held until the states are written: freed earlier, they
-        # let glibc trim the heap, and later allocations (the af decisions)
-        # faulted it in again, about 1,200 page faults per 1,500-frame af run.
-        code = self.rng.block_uniforms(STREAM_WALK, f0, n, K)
-        up = code >= 1.0 - self.q
-        np.greater_equal(code, self.q, out=code)  # the uniforms become their codes
-        code += up
-        del up
-        # each group's base-3 code, first frame lowest; the last group may be short
-        G, rem = divmod(n, r)
-        combo = np.empty((G + (rem > 0), K))
-        np.matmul(self._pow3, code[: n - rem].reshape(G, r, K), out=combo[:G])
-        if rem:
-            np.matmul(self._pow3[:rem], code[n - rem :], out=combo[G])
-        # plus each group's start state, the last table's entry for the group before
-        idx = combo.astype(np.int64)
-        idx[0] += s0
-        take, add = self._tables[-1].take, np.add
-        start = np.empty(K, dtype=np.int64)
-        rows = iter(idx)
-        prev = next(rows)
-        for row in rows:
-            take(prev, out=start, mode="clip")  # idx is always in range
-            add(row, start, out=row)
-            prev = row
-        # frame i of every group (rows 1+i, 1+i+r, ...) from table i
-        s = np.empty((n + 1, K), dtype=np.int64)
-        s[0] = s0
-        for i, table in enumerate(self._tables):
-            out = s[1 + i :: r]
-            table.take(idx[: len(out)], out=out, mode="clip")
-        return s
-
-    def _moved(self, s: np.ndarray) -> np.ndarray:
-        """(n, K): whether each relay is placed anew in each frame of the states s."""
-        return np.ones((len(s) - 1, self.K), dtype=bool) if self.resample else s[1:] != s[:-1]
-
-    def _carry(self, moved: np.ndarray, f0: int) -> None:
-        """Keep each relay's last change in rows `moved` (frames f0..) as unplaced."""
-        n, K = moved.shape
-        j = np.flatnonzero(moved.any(axis=0))
-        if not j.size:
-            return
-        r = (n - 1) - moved[::-1].argmax(axis=0)[j]
-        # movers counted flat, frame-major, from the earliest last change on:
-        # cs[i] counts the moves among the first i cells
-        r0 = int(r.min())
-        cs = np.zeros(moved[r0:].size + 1, dtype=np.int32)
-        np.cumsum(moved[r0:], out=cs[1:])
-        at = (r - r0) * K
-        self._pend[:, j] = (f0 + r, cs[at + j] - cs[at], cs[at + K] - cs[at])
-
-    def _fill_walk(self) -> tuple[np.ndarray, np.ndarray]:
-        K, B, s = self.K, self.n, self._s
-        # the changes of the block, frame-major, so mover rank follows relay order
-        idx = np.flatnonzero(self._moved(s))
-        row = idx // K
-        starts = idx.searchsorted(np.arange(B + 1) * K)  # first change of each row
-        frame = row + self.f0
-        rank = np.arange(idx.size) - starts[row]
-        count = np.diff(starts)[row]
-        state = s[1:].reshape(-1).take(idx)
-        # carried changes go first: each gives its relay's point before frame f0,
-        # in the strip it still holds
-        pend = self._pend
-        held = np.flatnonzero(pend[0] >= 0)
-        c = held.size
-        if c:
-            frame, rank, count = (np.concatenate((v, w)) for v, w in
-                                  zip(pend[:, held], (frame, rank, count)))
-            state = np.concatenate((s[0, held], state))
-            pend[0, held] = -1
-        src, dst = self._dpow(*self._place(frame, rank, count, state))
-        # forward-fill by value index: j is relay j's last value, K + i change i's;
-        # carried changes stand before row 0
-        last = np.zeros((B, K), dtype=np.intp)
-        last[0] = np.arange(K)
-        last[0, held] = np.arange(K, K + c)
-        np.put(last, idx, np.arange(K + c, K + c + idx.size))
-        np.maximum.accumulate(last, axis=0, out=last)
-        src_rows = np.concatenate((self.src_dpow, src)).take(last)
-        dst_rows = np.concatenate((self.dst_dpow, dst)).take(last)
-        self.src_dpow = src_rows[-1].copy()
-        self.dst_dpow = dst_rows[-1].copy()
-        return src_rows, dst_rows
-
-    def _place(self, frames, rank, movers, state) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform points (x, y) in each change's strip, by lane-keyed rejection;
-        `state` is the walk state S*strip that each change moved into.
-
-        Attempt 0 runs over every change; the rejects then draw
-        _PLACE_BATCH attempts per round in one call and keep the first
-        accepted one. Lanes are keyed by attempt, so drawing attempts past
-        the first accepted one changes nothing.
-        """
-        bases = self.rng.frame_bases(STREAM_PLACE, frames)
-        x1 = self._box_x1.take(state)
-        dx = self._box_dx.take(state)
-        hh = self._box_hh.take(state)
-        lanes = np.stack((rank, rank + movers))  # attempt a adds a*2m to both
-        x, y, ok = self._attempt(bases, lanes, x1, dx, hh)
-        todo = np.flatnonzero(~ok)
-        a0 = 1
-        while todo.size:
-            if a0 >= _PLACE_ATTEMPTS:
-                raise RuntimeError("strip rejection sampling failed to converge")
-            a = np.arange(a0, min(a0 + _PLACE_BATCH, _PLACE_ATTEMPTS))[:, None, None]
-            xa, ya, oka = self._attempt(bases[todo], lanes[:, todo] + a * (2 * movers[todo]),
-                                        x1[todo], dx[todo], hh[todo])
-            first = (oka.argmax(axis=0), np.arange(todo.size))
-            hit = oka[first]
-            x[todo[hit]] = xa[first][hit]
-            y[todo[hit]] = ya[first][hit]
-            todo = todo[~hit]
-            a0 += _PLACE_BATCH
-        return x, y
-
-    def _attempt(self, bases, lanes, x1, dx, hh):
-        """Points and acceptance of attempts whose (x, y) lanes are lanes[..., 0 or 1, :]."""
-        r = self.radius
-        u = keyed_uniforms(bases, lanes)
-        x = x1 + dx * u[..., 0, :]  # u in (0,1]: the strip's right edge is excluded
-        y = hh * (2.0 * u[..., 1, :] - 1.0)
-        return x, y, (x - r) ** 2 + y * y <= r * r
-
-    def _step_waypoint(self, frame: int) -> None:
-        m = self.mobility
-        K = self.K
-        r = self.radius
-        paused = self.pause_left > 0
-        self.pause_left[paused] -= 1
-        moving = ~paused
-        if np.any(moving):
-            delta = self.targets[moving] - self.positions[moving]
-            dist = np.hypot(delta[:, 0], delta[:, 1])
-            spd = self.speeds[moving]
-            arriving = dist <= spd
-            mov_idx = np.nonzero(moving)[0]
-            go = mov_idx[~arriving]
-            if go.size:
-                f = (spd[~arriving] / dist[~arriving])[:, None]
-                self.positions[go] += f * delta[~arriving]
-            arr = mov_idx[arriving]
-            if arr.size:
-                self.positions[arr] = self.targets[arr]
-                up = self.rng.uniforms(STREAM_WAYPOINT, frame, K)[arr]
-                pi = np.minimum((up * self._pause_set.size).astype(np.int64),
-                                self._pause_set.size - 1)
-                self.pause_left[arr] = self._pause_set[pi]
-                ur = self.rng.uniforms(STREAM_WAYPOINT, frame, K, start=K)[arr]
-                ua = self.rng.uniforms(STREAM_WAYPOINT, frame, K, start=2 * K)[arr]
-                rad = r * np.sqrt(ur)
-                self.targets[arr, 0] = r + rad * np.cos(2.0 * np.pi * ua)
-                self.targets[arr, 1] = rad * np.sin(2.0 * np.pi * ua)
-                us = self.rng.uniforms(STREAM_WAYPOINT, frame, K, start=3 * K)[arr]
-                self.speeds[arr] = m.speed_min + (m.speed_max - m.speed_min) * us
 
 
 # ---------- run metrics ----------
@@ -701,7 +354,8 @@ def run(cfg: SimConfig) -> RunMetrics:
     geometry = build_disk(cfg.radius, cfg.num_regions)
     phy = build_phy(cfg)
     rng = CounterRng(cfg.seed)
-    fleet = _Fleet(cfg, geometry, rng)
+    fleet = Fleet(geometry, cfg.K, cfg.alpha, cfg.mobility, cfg.pinned_positions,
+                  cfg.resample_within_region, rng, _BLOCK_BYTES)
     relays = RelayBank(cfg.K, cfg.buffer_capacity)
     proto = make_protocol(
         cfg.protocol, n_active=cfg.n_active, n_decode=cfg.n_decode,
@@ -721,21 +375,8 @@ def run(cfg: SimConfig) -> RunMetrics:
 
     fading = cfg.fading
     K = cfg.K
-    direct_dist = max(2.0 * cfg.radius, _MIN_SEPARATION)
-    links = FrameLinks(phy, direct_dist**cfg.alpha)
+    links = FrameLinks(phy, fleet.direct_dpow)
     block = max(1, _BLOCK_BYTES // (_CELL_BYTES * K))
-
-    def fill_links() -> None:
-        """Draw the channel of the walked block."""
-        src_dpow, dst_dpow = fleet.fill()
-        f, n = fleet.f0, fleet.n
-        links.fill(
-            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_SRC, f, n, K)),
-            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DST, f, n, K)),
-            fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DIRECT, f, n, 1)[:, 0]),
-            src_dpow, dst_dpow,
-        )
-
     proto_stream = FrameStream(rng, STREAM_PROTO, block=block)
 
     stride = cfg.traj_stride or max(1, horizon // 65536)
@@ -770,7 +411,7 @@ def run(cfg: SimConfig) -> RunMetrics:
     chunk = 65536
     batches = busy = None
 
-    walked = fill0 = 0  # end of the walked frames; first frame of the filled block
+    filled = fill0 = 0  # end and first frame of the filled block
     f = 0
     while f < horizon:
         a_s = 0
@@ -802,13 +443,17 @@ def run(cfg: SimConfig) -> RunMetrics:
                 f = g
                 continue
 
-        if f >= walked:  # skip the unread frames up to f, then walk and fill f's block
+        if f >= filled:  # draw the channel of the block from f on
             links.clear()  # free the last filled rows before drawing more
-            if f > walked:
-                fleet.skip(walked, f - walked)
-            fleet.walk(f, min(block, horizon - f))
-            walked, fill0 = f + fleet.n, f
-            fill_links()
+            n = min(block, horizon - f)
+            src_dpow, dst_dpow = fleet.dpow(f, n)
+            links.fill(
+                fading.from_uniforms(rng.block_uniforms(STREAM_FADE_SRC, f, n, K)),
+                fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DST, f, n, K)),
+                fading.from_uniforms(rng.block_uniforms(STREAM_FADE_DIRECT, f, n, 1)[:, 0]),
+                src_dpow, dst_dpow,
+            )
+            filled, fill0 = f + n, f
         links.row = f - fill0
 
         outcome = proto.step(links, source, relays, proto_stream.rebind(f))

@@ -86,20 +86,6 @@ class FrameLinks:
         self.row = 0
         self.clear()
 
-    @classmethod
-    def from_values(cls, phy, h_src, h_dst, h_direct, dist_src, dist_dst, dist_direct):
-        """One-frame view of fixed values for tests: distances, not premultiplied powers."""
-        a = phy.alpha
-        links = cls(phy, float(dist_direct) ** a)
-        links.fill(
-            np.asarray(h_src, dtype=np.float64)[None],
-            np.asarray(h_dst, dtype=np.float64)[None],
-            np.array([float(h_direct)]),
-            (np.asarray(dist_src, dtype=np.float64) ** a)[None],
-            (np.asarray(dist_dst, dtype=np.float64) ** a)[None],
-        )
-        return links
-
     def fill(self, h_src, h_dst, h_direct, src_dpow, dst_dpow) -> None:
         """Load a block: gains and d^alpha rows (B, K), direct gains (B,)."""
         self.clear()

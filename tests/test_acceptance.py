@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from relaysim.analysis import PgfSpec, ServiceMoments, mx_g1_wait, pgf_mean_system
+from relaysim.analysis import ServiceMoments, mx_g1_wait
 from relaysim.channel import GainTable
 from relaysim.engine import (
     SimConfig,
@@ -28,6 +28,8 @@ from relaysim.validation import (
     check_queue_formula,
 )
 from relaysim.validation import check_throughput_trend
+
+from support import PgfSpec, pgf_mean_system
 
 ACC_RUNS: list = []  # (config, metrics) for every run the gate executed
 _MEMO: dict = {}

@@ -8,7 +8,6 @@ import pytest
 
 from relaysim.analysis import (
     OrderParams,
-    PgfSpec,
     ServiceMoments,
     StabilityError,
     ddf_delay_order,
@@ -20,9 +19,10 @@ from relaysim.analysis import (
     mx_g1_wait,
     obdwf_delay_order,
     obdwf_throughput_bound,
-    pgf_mean_system,
     stability_gain_order,
 )
+
+from support import PgfSpec, pgf_mean_system
 
 # hand-computed with exact rational arithmetic:
 #   wait = (l1^2 b2 - l1^2 b - l1 b + l2 b) / (2 l1 (1 - l1 b)) + b

@@ -16,8 +16,10 @@ import pytest
 
 from relaysim import engine
 from relaysim.channel import GainTable, Rayleigh, af_effective_snr
-from relaysim.protocols import ROLE_BROADCAST, ROLE_FORWARD, FrameLinks, Obdwf, make_protocol
+from relaysim.protocols import ROLE_BROADCAST, ROLE_FORWARD, Obdwf, make_protocol
 from relaysim.traffic import Packet, RelayBank, SourceQueue
+
+from support import frame_links
 
 TIED = GainTable(gains=(0.0, 0.5, 3.75), probs=(0.3, 0.5, 0.2))
 
@@ -148,6 +150,6 @@ def test_obdwf_contention_at_u_one_picks_the_last_contender():
         def random(self):
             return 1.0  # counter-based uniforms lie in (0, 1]
 
-    links = FrameLinks.from_values(phy, [0.0] * 3, [1.0] * 3, 0.0, [1.0] * 3, [1.0] * 3, 5.0)
+    links = frame_links(phy, [0.0] * 3, [1.0] * 3, 0.0, [1.0] * 3, [1.0] * 3, 5.0)
     out = Obdwf().step(links, source, bank, One())
     assert out.delivered == (8,)  # relay 1's head

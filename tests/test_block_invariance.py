@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysim import engine
+from relaysim import engine, geometry
 from relaysim.channel import GainTable, Rayleigh
 from relaysim.geometry import RandomWalk, RandomWaypoint
 from relaysim.protocols import PROTOCOL_NAMES
@@ -115,19 +115,19 @@ def test_changes_carry_across_unread_blocks():
         K=6, horizon=20_000, seed=4, rate=1e6, mobility=RandomWalk(q=0.005),
         arrival_pmf=((2, 0.002),), conservation_check_every=1)
     chunk_starts, from_earlier = [], []
-    carry, fill = engine._Fleet._carry, engine._Fleet._fill_walk
+    carry, fill = geometry.Fleet._carry, geometry.Fleet._fill_walk
 
     def carry_spy(fleet, moved, f0):
         chunk_starts.append(f0)
         carry(fleet, moved, f0)
 
-    def fill_spy(fleet):
+    def fill_spy(fleet, f0):
         held = fleet._pend[0]
         from_earlier.append(bool(chunk_starts and ((0 <= held) & (held < chunk_starts[-1])).any()))
-        return fill(fleet)
+        return fill(fleet, f0)
 
-    with mock.patch.object(engine._Fleet, "_carry", carry_spy), \
-            mock.patch.object(engine._Fleet, "_fill_walk", fill_spy):
+    with mock.patch.object(geometry.Fleet, "_carry", carry_spy), \
+            mock.patch.object(geometry.Fleet, "_fill_walk", fill_spy):
         chunked = _run_with_block(cfg, 7)
     assert sum(from_earlier) > 10  # of 69 fills
     assert chunked.conservation_ok and chunked.delivered > 50

@@ -14,7 +14,8 @@ from relaysim.channel import (
     connection_probability_mc,
 )
 from relaysim.geometry import build_disk
-from relaysim.protocols import FrameLinks
+
+from support import frame_links
 
 
 def ref_phy(rate=1e6, power=100.0, alpha=4.0, xi=1.0):
@@ -53,7 +54,7 @@ def test_connectivity_threshold_inclusive():
     for d in (1.3, 2.1, 3.3):
         thr = connect_threshold(d, phy)
         for h, connected in ((thr, True), (np.nextafter(thr, 0.0), False)):
-            links = FrameLinks.from_values(phy, [h], [h], h, [d], [d], d)
+            links = frame_links(phy, [h], [h], h, [d], [d], d)
             assert links.src_connected()[0] == links.dst_connected()[0] == connected
             assert links.direct_connected() == connected
 

@@ -506,6 +506,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run", "--preset", "fig3a", "--config", str(ini)]) == 2
     assert main(["run", "--config", "/nonexistent/zzz.ini"]) == 2
     assert main(["run", "--set", "nope.key=1"]) == 2
+    assert main(["run", "--set", "sim.horizon=100", "--set", "mobility.model=waypoint",
+                 "--set", "sim.resample_within_region=yes"]) == 2  # resampling is ignored
     assert main(["sweep", "--axis", "K", "--values", "bad:range"]) == 2
     assert main(["sweep", "--axis", "lambda", "--values", "0.1,inf"]) == 2
     assert main(["sweep", "--axis", "lambda", "--values", "1e400"]) == 2

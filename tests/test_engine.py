@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaysim import engine
+from relaysim import engine, geometry
 from relaysim.analysis import ServiceMoments, mx_g1_wait
 from relaysim.channel import GainTable
 from relaysim.engine import (
@@ -26,7 +26,7 @@ from relaysim.engine import (
     sweep,
     validate_config,
 )
-from relaysim.geometry import RandomWalk, RandomWaypoint, build_disk, region_box, walk_next
+from relaysim.geometry import Fleet, RandomWalk, RandomWaypoint, build_disk, region_box, walk_next
 from relaysim.protocols import PROTOCOL_NAMES, ROLE_BROADCAST, FrameOutcome, Obdwf
 from relaysim.rng import STREAM_PLACE, CounterRng
 
@@ -314,6 +314,20 @@ def test_validate_config_errors_and_warnings():
     assert effective_packet_bits(small_cfg(packet_bits=999.0)) == 999.0
 
 
+@pytest.mark.parametrize("ignored", [
+    # resampling re-places relays within their strip under the strip walk only
+    dict(resample_within_region=True, mobility=RandomWaypoint()),
+    dict(resample_within_region=True, pinned_positions=((2.5, 0.0),) * 30),
+    # pinned relays never move, so a waypoint model would be dropped
+    dict(pinned_positions=((2.5, 0.0),) * 30, mobility=RandomWaypoint(speed_max=0.3)),
+], ids=["resample-waypoint", "resample-pinned", "pinned-waypoint"])
+def test_validate_config_rejects_ignored_mobility_settings(ignored):
+    with pytest.raises(ValueError):
+        validate_config(small_cfg(**ignored))
+    with pytest.raises(ValueError):
+        run(small_cfg(**ignored))
+
+
 def test_validate_config_rejects_dfsc_with_more_decoders_than_relays():
     # dfsc waits for n_decode distinct decoders, so with n_decode > K it would
     # broadcast forever and deliver nothing
@@ -380,11 +394,11 @@ def test_abort_threshold_flags_unstable():
     assert m.stability.slope == math.inf
 
 
-def _place_oracle(rng, geometry, frame, rank, movers, strip):
+def _place_oracle(rng, disk, frame, rank, movers, strip):
     """One change placed by the scalar rule: attempt a reads lanes
     (a*2m + rank, a*2m + m + rank) and the first point inside the disk wins."""
-    x0, x1, hh = region_box(geometry, strip)
-    r = geometry.radius
+    x0, x1, hh = region_box(disk, strip)
+    r = disk.radius
     for a in range(200):
         lane = a * 2 * movers + rank
         ux, uy = rng.uniforms_at(STREAM_PLACE, frame, np.array([lane, lane + movers]))
@@ -395,16 +409,16 @@ def _place_oracle(rng, geometry, frame, rank, movers, strip):
     raise AssertionError("no attempt accepted")
 
 
-@pytest.mark.parametrize("batch", [1, 3, engine._PLACE_BATCH])
+@pytest.mark.parametrize("batch", [1, 3, geometry._PLACE_BATCH])
 @pytest.mark.parametrize("num_regions", [5, 20])
 def test_place_matches_scalar_rejection(batch, num_regions, monkeypatch):
     # 20 strips: the edge strips accept about 2/3 of their box, so the
     # rejects of small batches retry over several rounds
-    monkeypatch.setattr(engine, "_PLACE_BATCH", batch)
+    monkeypatch.setattr(geometry, "_PLACE_BATCH", batch)
     cfg = SimConfig(K=40, num_regions=num_regions, seed=11)
-    geometry = build_disk(cfg.radius, num_regions)
+    disk = build_disk(cfg.radius, num_regions)
     rng = CounterRng(cfg.seed)
-    fleet = engine._Fleet(cfg, geometry, rng)
+    fleet = Fleet(disk, cfg.K, cfg.alpha, cfg.mobility, None, False, rng, 1 << 20)
     draw = np.random.default_rng(num_regions)
     n = 1_500
     frames = draw.integers(0, 2**40, n)
@@ -412,8 +426,8 @@ def test_place_matches_scalar_rejection(batch, num_regions, monkeypatch):
     rank = (draw.random(n) * movers).astype(np.int64)
     edge = draw.choice(np.array([1, num_regions]), n)
     strip = np.where(draw.random(n) < 0.5, edge, draw.integers(1, num_regions + 1, n))
-    x, y = fleet._place(frames, rank, movers, 3**engine._WALK_GROUP * strip)  # walk state
-    want = [_place_oracle(rng, geometry, int(f), int(i), int(m), int(s))
+    x, y = fleet._place(frames, rank, movers, 3**geometry._WALK_GROUP * strip)  # walk state
+    want = [_place_oracle(rng, disk, int(f), int(i), int(m), int(s))
             for f, i, m, s in zip(frames, rank, movers, strip)]
     assert np.array_equal(np.column_stack((x, y)), want)
 
@@ -424,7 +438,9 @@ def test_table_walk_matches_walk_next(num_regions, q, monkeypatch):
     # The table walk steps _WALK_GROUP frames per lookup. Walk spans of every
     # length up to three groups and one, most not a multiple of the group,
     # against one walk_next call per frame; a third of the uniforms sit
-    # exactly at q and another third at 1-q, where the step changes.
+    # exactly at q and another third at 1-q, where the step changes. Each
+    # span is walked once as a block that dpow returns and once as unread
+    # frames that a one-frame dpow call walks past.
     drawn = []
     draw = np.random.default_rng(num_regions)
 
@@ -437,24 +453,28 @@ def test_table_walk_matches_walk_next(num_regions, q, monkeypatch):
 
     monkeypatch.setattr(CounterRng, "block_uniforms", block_uniforms)
     cfg = SimConfig(K=9, num_regions=num_regions, mobility=RandomWalk(q=q), seed=2)
-    fleet = engine._Fleet(cfg, build_disk(cfg.radius, num_regions), CounterRng(cfg.seed))
-    S = 3**engine._WALK_GROUP  # the walk state is S * strip
+    fleet = Fleet(build_disk(cfg.radius, num_regions), cfg.K, cfg.alpha, cfg.mobility, None,
+                  False, CounterRng(cfg.seed), 1 << 20)
+    S = 3**geometry._WALK_GROUP  # the walk state is S * strip
     strips = fleet._s[-1] // S
     assert 1 <= strips.min() and strips.max() <= num_regions
     f = 0
-    for n in range(1, 3 * engine._WALK_GROUP + 2):
-        for step in (fleet.walk, fleet.skip):
+    for n in range(1, 3 * geometry._WALK_GROUP + 2):
+        for skipped in (False, True):
             drawn.clear()
-            step(f, n)
+            if skipped:
+                fleet.dpow(f + n, 1)
+            else:
+                fleet.dpow(f, n)
             want = []
             for u in np.concatenate(drawn):
                 strips = walk_next(strips, u, q, num_regions)
                 want.append(strips)
-            assert len(want) == n
-            # a walked block keeps every frame; a skipped span only its last
-            got = fleet._s[1:] if step == fleet.walk else fleet._s
-            assert np.array_equal(got // S, want[-len(got):]), (step.__name__, n)
-            f += n
+            assert len(want) == n + skipped
+            # a block keeps every frame; skipped frames only their last, in row 0
+            got = fleet._s if skipped else fleet._s[1:]
+            assert np.array_equal(got // S, want[-len(got):]), (skipped, n)
+            f += n + skipped
 
 
 class _LosesFirstPacket(Obdwf):

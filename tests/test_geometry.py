@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from relaysim import engine
-from relaysim.engine import SimConfig
+from relaysim import geometry
 from relaysim.geometry import (
     DiskGeometry,
+    Fleet,
     RandomWalk,
     RandomWaypoint,
     build_disk,
@@ -95,10 +95,9 @@ def test_region_of_interior_and_boundaries():
 
 
 def fleet(K, mobility, seed=1, num_regions=5):
-    """The engine's relay fleet on the radius-2.5 disk."""
+    """A run's relay fleet on the radius-2.5 disk, alpha = 4."""
     geo = build_disk(2.5, num_regions)
-    cfg = SimConfig(K=K, num_regions=num_regions, mobility=mobility, seed=seed)
-    return geo, engine._Fleet(cfg, geo, CounterRng(seed))
+    return geo, Fleet(geo, K, 4.0, mobility, None, False, CounterRng(seed), 1 << 20)
 
 
 def uniform_disk_points(n, seed=1):
@@ -122,7 +121,7 @@ def test_sample_uniform_in_region():
     n = 300
     frames = np.arange(n)
     for region in (1, 3, 5):
-        state = np.full(n, 3**engine._WALK_GROUP * region)  # walk state of the strip
+        state = np.full(n, 3**geometry._WALK_GROUP * region)  # walk state of the strip
         x, y = walk._place(frames, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), state)
         assert all(region_of(geo, p) == region for p in zip(x, y))
 
@@ -211,7 +210,7 @@ def test_waypoint_pause_and_advance():
     wp.targets[:] = ((2.0, 0.0), (2.0, 0.0))
     wp.speeds[:] = (0.25, 0.25)
     wp.pause_left[:] = (2, 0)
-    wp.walk(0, 1)
+    wp.dpow(0, 1)
     # pause frames tick down without moving
     assert tuple(wp.positions[0]) == (1.0, 0.0) and wp.pause_left[0] == 1
     # arrival snaps to the target and draws a pause from the model's set, a
@@ -221,18 +220,18 @@ def test_waypoint_pause_and_advance():
     assert model.speed_min <= wp.speeds[1] <= model.speed_max
     tx, ty = wp.targets[1]
     assert (tx - 2.5) ** 2 + ty**2 <= 2.5**2 + 1e-12
-    wp.walk(1, 1)
+    wp.dpow(1, 1)
     assert tuple(wp.positions[0]) == (1.0, 0.0) and wp.pause_left[0] == 0
     # then the relay advances straight toward the target by its speed
-    wp.walk(2, 1)
+    src_dpow, _ = wp.dpow(2, 1)
     assert math.isclose(wp.positions[0, 0], 1.25) and wp.positions[0, 1] == 0.0
-    src_dpow, _ = wp.fill()
     assert math.isclose(src_dpow[0, 0], 1.25**4)
 
 
 def test_waypoint_stays_in_disk():
     geo, wp = fleet(50, RandomWaypoint(speed_min=0.1, speed_max=0.6, pause_set=tuple(range(11))),
                     seed=8)
-    wp.walk(0, 3000)
-    x, y = wp._pos[..., 0], wp._pos[..., 1]
-    assert np.all((x - 2.5) ** 2 + y * y <= 2.5**2 * (1 + 1e-9))
+    for f in range(3000):
+        wp.dpow(f, 1)
+        x, y = wp.positions.T
+        assert np.all((x - 2.5) ** 2 + y * y <= 2.5**2 * (1 + 1e-9))

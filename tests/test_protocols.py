@@ -15,12 +15,13 @@ from relaysim.protocols import (
     AfSc,
     Ddf,
     DfSc,
-    FrameLinks,
     Obdwf,
     contention_select,
     make_protocol,
 )
 from relaysim.traffic import Packet, RelayBank, SourceQueue
+
+from support import frame_links
 
 
 class ScriptRng:
@@ -55,7 +56,7 @@ def phy_beta20():
 
 def links_for(phy, h_src, h_dst, h_direct, d=1.0, d_direct=5.0):
     k = len(h_src)
-    return FrameLinks.from_values(
+    return frame_links(
         phy, h_src, h_dst, h_direct, [d] * k, [d] * k, d_direct
     )
 
