@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -219,6 +217,9 @@ def _brackets(spec: ExperimentSpec, cfgs: list[SimConfig]):
     bracket = partial(max_stable_rate, lo=spec.lo, hi=spec.hi,
                       resolution=spec.resolution, batch_size=spec.batch)
     if spec.jobs > 1 and len(cfgs) > 1:
+        import multiprocessing  # deferred, like the pool: only pools need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(spec.jobs, len(cfgs)),
                                  mp_context=multiprocessing.get_context("spawn")) as ex:
             yield from ex.map(bracket, cfgs)

@@ -28,7 +28,6 @@ RunMetrics.conservation_failure with its balance terms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,9 +168,9 @@ def validate_config(cfg: SimConfig) -> list[str]:
         raise ValueError("need an arrival pmf unless infinite_backlog is set")
     if cfg.pinned_positions is not None and len(cfg.pinned_positions) != cfg.K:
         raise ValueError("pinned_positions must list exactly K points")
-    if cfg.pinned_positions is not None and isinstance(cfg.mobility, RandomWaypoint):
-        raise ValueError("pinned_positions hold every relay still; the waypoint mobility "
-                         "would be ignored")
+    if cfg.pinned_positions is not None and cfg.mobility != RandomWalk():
+        raise ValueError(f"pinned_positions hold every relay still; the mobility "
+                         f"{cfg.mobility} would be ignored")
     if cfg.resample_within_region and (cfg.pinned_positions is not None
                                        or not isinstance(cfg.mobility, RandomWalk)):
         raise ValueError("resample_within_region applies to the strip walk of unpinned "
@@ -579,6 +578,8 @@ def replicate(
         raise ValueError("seeds must match n_reps")
     cfgs = [replace(cfg, seed=s) for s in seeds]
     if jobs > 1 and n_reps > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: only pools need it
+
         with ProcessPoolExecutor(max_workers=min(jobs, n_reps)) as ex:
             return list(ex.map(_run_worker, cfgs))
     return [run(c) for c in cfgs]

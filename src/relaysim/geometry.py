@@ -15,16 +15,20 @@ returns their d^alpha toward the source and the destination for a block of
 frames at a time.
 
 Each frame's strips follow from the last, so the strip walk runs for every
-frame, including those that no step reads. Under the random walk one (n, K)
-draw of walk uniforms gives every relay's strip in every frame, through
-transition tables built from walk_next. Each uniform decides a step through
-its code [u >= q] + [u >= 1-q]; the codes of _WALK_GROUP frames form a base-3
-number, first frame lowest, and table i maps a walk state (S*strip, S =
-3**_WALK_GROUP) plus that number to the state i+1 frames on. So one add and
-one take per group give each group's start state, and _WALK_GROUP takes give
-every row. Frames that no step reads are walked in chunks of budget / (K *
-_WALK_CELL_BYTES) frames, keeping only each relay's last strip change of each
-chunk.
+frame, including those that no step reads. Under the random walk it reads the
+mixed walk counters z directly: walk_next reads a uniform u only through its
+code [u >= q] + [u >= 1-q], and u = ((z >> 11) + 1) * 2**-53 exactly, so the
+code is [z >= Z(q)] + [z >= Z(1-q)] with Z = rng.counter_threshold, bit for
+bit. The codes of _WALK_GROUP frames form a base-3 number, first frame lowest;
+added to a relay's walk state S*strip (S = 3**_WALK_GROUP) before the group,
+it is the group index, and table i maps a group index to the state i frames
+into the group. So one take and one add per group chain the group indices,
+and a filled block takes every row from them, _WALK_GROUP takes in all.
+Frames that no step reads are walked in chunks of at most budget / (K *
+_WALK_CELL_BYTES) frames in buffers kept across runs, and only the frames
+that hold some relay's last change of a chunk are expanded into states: a
+table gives each group index the last frame of the group that changes
+strip, so each relay's last change is found from its last changing group.
 
 A relay whose strip changes in frame f is placed uniformly in the new strip
 by rejection from the strip's bounding box: mover rank i of the m movers of
@@ -34,7 +38,8 @@ between changes a relay keeps its point, so its point in frame f is a
 function of its last change up to f alone. Changes in unread frames are
 therefore not placed: after each chunk every relay that changed strip in it
 carries its last change as (change frame, mover rank, mover count), in the
-strip it still holds.
+strip it still holds; a relay that keeps its strip through a chunk keeps the
+change it carried from an earlier one.
 
 A block's changes are taken from one flatnonzero, in frame-major order, after
 the carried changes, which give their relays' points before the block.
@@ -61,7 +66,9 @@ from .rng import (
     STREAM_WALK,
     STREAM_WAYPOINT,
     CounterRng,
+    counter_threshold,
     keyed_uniforms,
+    scratch,
 )
 
 __all__ = [
@@ -220,13 +227,15 @@ def walk_next(region, u, q: float, num_regions: int):
 
 _MIN_SEPARATION = 1e-9  # distance clamp keeping path loss finite
 # Strip walk: frames stepped per table lookup, and the bytes per (frame, relay)
-# cell of walking frames that no step reads (walk draws and their temporaries,
-# states and carry: 21-24 bytes under tracemalloc), which size their chunks
-# from the byte budget: 397 frames at K = 110 and 1 MiB. Six frames per lookup
+# cell of the walk's scratch buffers (rng.scratch), which hold one chunk of
+# unread frames: the mixed counters and their mixing scratch (16), the two
+# code bytes (2), and the groups' indices, base-3 codes and last changes (2).
+# No state or carry is kept per unread cell. So a chunk is 476 frames at
+# K = 110 and 1 MiB. Six frames per lookup
 # make the tables 3.6 times larger; in saturation runs that moved glibc's heap
 # into trimming, and the af decisions faulted their memory in again every block.
 _WALK_GROUP = 5
-_WALK_CELL_BYTES = 24
+_WALK_CELL_BYTES = 20
 # Rejection placement: attempts drawn per retry round, and the attempt cap. An
 # edge strip accepts about 0.7 of its box, so after one round of 8 a reject is
 # still unplaced with probability about 1e-4.
@@ -274,32 +283,37 @@ class Fleet:
             bounds = np.asarray(geometry.boundaries)
             regions = np.clip(np.searchsorted(bounds, positions[:, 0], side="right"), 1, M)
             q = mobility.q
-            self.q = q
             # walk_next reads u only through (u < q, u >= 1-q), so the code
             # c = [u >= q] + [u >= 1-q] decides the step; representatives of the
-            # three codes are u = 0, q and 1. next3 maps 3*strip + c to
-            # 3*next strip; table i is next3 composed over the digits 0..i of
-            # a group's base-3 code, from walk state S*strip.
-            strips = np.repeat(np.arange(M + 1, dtype=np.int64), 3)
+            # three codes are u = 0, q and 1, and the mixed counters give the
+            # code through counter_threshold. next3 maps 3*strip + c to
+            # 3*next strip; table i is next3 composed over the digits 0..i-1 of
+            # a group's base-3 code, from walk state S*strip (table 0).
+            self._z_q = counter_threshold(q), counter_threshold(1.0 - q)
+            strips = np.repeat(np.arange(M + 1, dtype=np.intp), 3)
             reps = np.tile(np.array([0.0, q, 1.0]), M + 1)
-            next3 = 3 * np.asarray(walk_next(strips, reps, q, M), dtype=np.int64)
+            next3 = 3 * np.asarray(walk_next(strips, reps, q, M), dtype=np.intp)
             S = 3**_WALK_GROUP
             digits = np.tile(np.arange(S), M + 1)
             state3 = np.repeat(3 * np.arange(M + 1), S)
-            self._tables = np.empty((_WALK_GROUP, (M + 1) * S), dtype=np.int64)
-            for table in self._tables:
+            self._tables = np.empty((_WALK_GROUP + 1, (M + 1) * S), dtype=np.intp)
+            self._tables[0] = state3 * (S // 3)
+            for table in self._tables[1:]:
                 state3 = next3.take(state3 + digits % 3)
                 digits //= 3
                 np.multiply(state3, S // 3, out=table)
-            self._pow3 = 3.0 ** np.arange(_WALK_GROUP)
+            # last[L]: the last of a group's first L frames that changes strip, or -1
+            self._last = np.full(self._tables.shape, -1, dtype=np.int8)
+            for i, changes in enumerate(self._tables[1:] != self._tables[:-1]):
+                self._last[i + 1 :, changes] = i
             # strip boxes indexed by walk state: right edge, width (negative), half-height
             x0, x1, hh = np.zeros((3, M + 1))
             x0[1:], x1[1:], hh[1:] = zip(*(region_box(geometry, k) for k in range(1, M + 1)))
             self._box_x1, self._box_dx, self._box_hh = (np.repeat(v, S) for v in (x1, x0 - x1, hh))
             self.resample = resample
             self._chunk = max(1, budget // (_WALK_CELL_BYTES * K))
-            # walk state of the walked frames, row 0 from the frame before them
-            self._s = S * regions.astype(np.int64)[None]
+            # walk state of the last walked frame, or of the start
+            self._state = S * regions.astype(np.intp)
             # each relay's last unplaced change: frame (-1: none), mover rank, mover count
             self._pend = np.full((3, K), -1, dtype=np.int64)
         elif isinstance(self.mobility, RandomWaypoint):
@@ -331,8 +345,7 @@ class Fleet:
         if isinstance(self.mobility, RandomWalk):
             if f0 > walked:
                 self._skip_walk(walked, f0)
-            self._s = self._walk_states(f0, n, self._s[-1])
-            return self._fill_walk(f0)
+            return self._fill_walk(f0, self._walk_rows(f0, n))
         if isinstance(self.mobility, RandomWaypoint):
             pos = np.empty((n, self.K, 2))
             for f in range(walked, f0 + n):
@@ -343,77 +356,91 @@ class Fleet:
         shape = (n, self.K)
         return np.broadcast_to(self.src_dpow, shape), np.broadcast_to(self.dst_dpow, shape)
 
-    def _skip_walk(self, f0: int, f1: int) -> None:
-        """Walk the frames f0 .. f1-1, which no step reads, carrying their changes."""
-        s, self._s = self._s, None
-        for c0 in range(f0, f1, self._chunk):
-            s0 = s[-1].copy()
-            del s  # only the last state is kept while the next chunk is drawn
-            s = self._walk_states(c0, min(self._chunk, f1 - c0), s0)
-            self._carry(self._moved(s), c0)
-        self._s = s[-1:].copy()
-
-    def _walk_states(self, f0: int, n: int, s0: np.ndarray) -> np.ndarray:
-        """(n+1, K) walk states: s0, then those of frames f0 .. f0+n-1."""
+    def _walk_groups(self, f0: int, n: int) -> np.ndarray:
+        """Walk frames f0 .. f0+n-1 by groups of _WALK_GROUP frames, the last one
+        possibly short: row g is relay-wise S*strip before group g plus the
+        group's base-3 code, first frame lowest. Leaves the state of the last frame."""
         K, r = self.K, _WALK_GROUP
-        # The codes are held until the states are written: freed earlier, they
-        # let glibc trim the heap, and later allocations (the af decisions)
-        # faulted it in again, about 1,200 page faults per 1,500-frame af run.
-        code = self.rng.block_uniforms(STREAM_WALK, f0, n, K)
-        up = code >= 1.0 - self.q
-        np.greater_equal(code, self.q, out=code)  # the uniforms become their codes
-        code += up
-        del up
-        # each group's base-3 code, first frame lowest; the last group may be short
-        G, rem = divmod(n, r)
-        combo = np.empty((G + (rem > 0), K))
-        np.matmul(self._pow3, code[: n - rem].reshape(G, r, K), out=combo[:G])
-        if rem:
-            np.matmul(self._pow3[:rem], code[n - rem :], out=combo[G])
-        # plus each group's start state, the last table's entry for the group before
-        idx = combo.astype(np.int64)
-        idx[0] += s0
-        take, add = self._tables[-1].take, np.add
-        start = np.empty(K, dtype=np.int64)
-        rows = iter(idx)
-        prev = next(rows)
-        for row in rows:
+        groups = -(-n // r)
+        z = self.rng.block_counters(STREAM_WALK, f0, n, K, scratch("walk.z", (n, K), np.uint64),
+                                    scratch("walk.t", (n, K), np.uint64))
+        code = scratch("walk.code", (groups * r, K), np.uint8)
+        hi = scratch("walk.hi", (n, K), bool)
+        np.greater_equal(z, self._z_q[0], out=code[:n].view(bool))
+        np.greater_equal(z, self._z_q[1], out=hi)
+        code[:n] += hi
+        code[n:] = 0  # a short last group has no later digits
+        digits = code.reshape(groups, r, K)
+        combo = scratch("walk.combo", (groups, K), np.uint8)
+        combo[:] = digits[:, r - 1]
+        for i in range(r - 2, -1, -1):
+            combo *= 3
+            combo += digits[:, i]
+        # plus each group's start state, the full table's entry for the group before
+        idx = scratch("walk.idx", (groups, K), np.intp)
+        idx[:] = combo
+        idx[0] += self._state
+        take, add, start = self._tables[r].take, np.add, scratch("walk.start", (K,), np.intp)
+        prev = idx[0]
+        for row in idx[1:]:
             take(prev, out=start, mode="clip")  # idx is always in range
             add(row, start, out=row)
             prev = row
-        # frame i of every group (rows 1+i, 1+i+r, ...) from table i
-        s = np.empty((n + 1, K), dtype=np.int64)
-        s[0] = s0
-        for i, table in enumerate(self._tables):
+        self._tables[n - (groups - 1) * r].take(prev, out=self._state, mode="clip")
+        return idx
+
+    def _walk_rows(self, f0: int, n: int) -> np.ndarray:
+        """(n+1, K) walk states: the last walked frame's, then those of frames f0 .. f0+n-1."""
+        r = _WALK_GROUP
+        s = scratch("walk.rows", (n + 1, self.K), np.intp)
+        s[0] = self._state
+        idx = self._walk_groups(f0, n)
+        # frame i of every group (rows 1+i, 1+i+r, ...) from table i+1
+        for i in range(r):
             out = s[1 + i :: r]
-            table.take(idx[: len(out)], out=out, mode="clip")
+            self._tables[i + 1].take(idx[: len(out)], out=out, mode="clip")
         return s
 
-    def _moved(self, s: np.ndarray) -> np.ndarray:
-        """(n, K): whether each relay is placed anew in each frame of the states s."""
-        return np.ones((len(s) - 1, self.K), dtype=bool) if self.resample else s[1:] != s[:-1]
+    def _skip_walk(self, f0: int, f1: int) -> None:
+        """Walk the frames f0 .. f1-1, which no step reads, in chunks, keeping the
+        last change of every relay that changes strip as unplaced."""
+        K, r, pend = self.K, _WALK_GROUP, self._pend
+        for c0 in range(f0, f1, self._chunk):
+            n = min(self._chunk, f1 - c0)
+            idx = self._walk_groups(c0, n)
+            if self.resample:  # every relay is placed anew in every frame
+                pend[0], pend[1], pend[2] = c0 + n - 1, np.arange(K), K
+                continue
+            # each relay's last group with a change, and its last change in it
+            G = n // r
+            last = scratch("walk.last", idx.shape, np.int8)
+            self._last[r].take(idx[:G], out=last[:G])
+            if G < len(idx):
+                self._last[n - G * r].take(idx[G], out=last[G])
+            back = (last >= 0)[::-1]
+            after = back.argmax(axis=0)  # groups after the last one with a change
+            j = np.flatnonzero(back[after, np.arange(K)])
+            if not j.size:
+                continue
+            g = len(idx) - 1 - after[j]
+            frame = g * r + last[g, j]
+            # the frames of those changes are the only ones expanded: every
+            # relay's changes there give the mover ranks and counts
+            frames, at = np.unique(frame, return_inverse=True)
+            g, i = np.divmod(frames, r)
+            rows = idx[g]
+            moved = np.cumsum(self._tables[i[:, None] + 1, rows] != self._tables[i[:, None], rows],
+                              axis=1)
+            pend[0, j] = c0 + frame
+            pend[1, j] = moved[at, j] - 1
+            pend[2, j] = moved[at, -1]
 
-    def _carry(self, moved: np.ndarray, f0: int) -> None:
-        """Keep each relay's last change in rows `moved` (frames f0..) as unplaced."""
-        n, K = moved.shape
-        j = np.flatnonzero(moved.any(axis=0))
-        if not j.size:
-            return
-        r = (n - 1) - moved[::-1].argmax(axis=0)[j]
-        # movers counted flat, frame-major, from the earliest last change on:
-        # cs[i] counts the moves among the first i cells
-        r0 = int(r.min())
-        cs = np.zeros(moved[r0:].size + 1, dtype=np.int32)
-        np.cumsum(moved[r0:], out=cs[1:])
-        at = (r - r0) * K
-        self._pend[:, j] = (f0 + r, cs[at + j] - cs[at], cs[at + K] - cs[at])
-
-    def _fill_walk(self, f0: int) -> tuple[np.ndarray, np.ndarray]:
-        """d^alpha rows of the walked frames f0 .. f0+n-1, placing their changes."""
-        s = self._s
+    def _fill_walk(self, f0: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d^alpha rows of frames f0 .. f0+n-1 from their walk states s, placing their changes."""
         K, B = self.K, len(s) - 1
         # the changes of the block, frame-major, so mover rank follows relay order
-        idx = np.flatnonzero(self._moved(s))
+        moved = np.ones((B, K), dtype=bool) if self.resample else s[1:] != s[:-1]
+        idx = np.flatnonzero(moved)
         row = idx // K
         starts = idx.searchsorted(np.arange(B + 1) * K)  # first change of each row
         frame = row + f0

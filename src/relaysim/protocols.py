@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhyParams, af_effective_snr
+from .channel import PhyParams
+from .rng import scratch
 from .traffic import RelayBank
 
 __all__ = [
@@ -272,9 +273,19 @@ def _af_decisions(q_listen, q_forward, phy: PhyParams, n_active: int):
     """Decide the (listen, forward) frame pairs of matching (P, K) quality rows.
 
     Each pair delivers when the best n_active effective SNRs sum past the rate
-    threshold. Returns a list of P.
+    threshold. The effective SNRs are computed in reused scratch, in place,
+    in af_effective_snr's operation order. Returns a list of P.
     """
-    snr = af_effective_snr(q_listen, q_forward, phy.power)
+    snr = scratch("af.snr", q_listen.shape, np.float64)
+    den = scratch("af.den", q_listen.shape, np.float64)
+    p = phy.power
+    np.multiply(q_listen, p, out=den)
+    np.multiply(q_forward, p, out=snr)
+    den += snr
+    den += 1.0
+    np.multiply(q_listen, p * p, out=snr)
+    snr *= q_forward
+    snr /= den
     n = min(n_active, snr.shape[1])
     top = np.argpartition(snr, -n, axis=1)[:, -n:]
     best = np.take_along_axis(snr, top, axis=1)

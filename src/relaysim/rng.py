@@ -15,10 +15,14 @@ B calls of uniforms().
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
 __all__ = [
     "CounterRng",
+    "counter_threshold",
     "keyed_uniforms",
     "STREAM_FADE_SRC",
     "STREAM_FADE_DST",
@@ -66,10 +70,11 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix_vec(x: np.ndarray) -> np.ndarray:
+def _mix_vec(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array, in place: x must be a temporary
-    of the caller's own, never an array passed in from outside."""
-    t = x >> _S30
+    of the caller's own, never an array passed in from outside. t, if given,
+    is scratch of x's shape."""
+    t = np.right_shift(x, _S30, out=t)
     x ^= t
     x *= _MIX1_U
     np.right_shift(x, _S27, out=t)
@@ -87,6 +92,34 @@ def _unit(z: np.ndarray) -> np.ndarray:
     u = z.astype(np.float64)
     u *= _TWO53_INV
     return u
+
+
+_scratch = threading.local()
+
+
+def scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A contiguous `shape` view of the calling thread's reusable buffer `name`.
+
+    The buffer grows to the largest request and is kept across runs, so hot
+    paths that fill it each block neither allocate nor fault pages in again.
+    Its contents are the caller's until the next request of the same name.
+    """
+    size = math.prod(shape)
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = np.empty(size, dtype=dtype)
+        setattr(_scratch, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def counter_threshold(p: float) -> np.uint64:
+    """The least mixed counter z whose uniform ((z >> 11) + 1) * 2**-53 is >= p.
+
+    That uniform is >= p exactly when the integer (z >> 11) + 1 is at least
+    ceil(p * 2**53), so [u >= p] is [z >= counter_threshold(p)], with no
+    conversion to float.
+    """
+    return np.uint64(max(math.ceil(p * 2.0**53) - 1, 0) << 11)
 
 
 def keyed_uniforms(bases: np.ndarray, indices) -> np.ndarray:
@@ -139,9 +172,17 @@ class CounterRng:
 
     def block_uniforms(self, stream: int, frame0: int, n_frames: int, n: int) -> np.ndarray:
         """(n_frames, n) uniforms: row b equals uniforms(stream, frame0 + b, n)."""
+        return _unit(self.block_counters(stream, frame0, n_frames, n))
+
+    def block_counters(self, stream: int, frame0: int, n_frames: int, n: int,
+                       out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+        """(n_frames, n) mixed counters z, whose uniforms ((z >> 11) + 1) * 2**-53
+        are block_uniforms(); out and scratch, if given, are (n_frames, n) uint64."""
         frames = np.arange(frame0, frame0 + n_frames, dtype=np.uint64)
-        return keyed_uniforms(self.frame_bases(stream, frames)[:, None],
-                              np.arange(n, dtype=np.uint64))
+        lanes = np.arange(n, dtype=np.uint64) * _GOLD_U
+        z = np.add(self.frame_bases(stream, frames)[:, None], lanes, out=out)
+        return _mix_vec(z, scratch)
 
 
 class FrameStream:

@@ -108,28 +108,32 @@ def test_changes_carry_across_unread_blocks():
     dense = engine.run(dataclasses.replace(cfg, track_connectivity=True))
     _assert_same_run(dense, default, ignore=("src_conn_frames", "dst_conn_frames"))
 
-    # Idle spans are walked in chunks, 37 frames long with 7-frame blocks. At
+    # Idle spans are walked in chunks, 44 frames long with 7-frame blocks. At
     # q = 0.005 a relay often keeps its strip through a whole chunk, so the
     # change it carries into the next filled block comes from an earlier one.
     cfg = engine.SimConfig(
         K=6, horizon=20_000, seed=4, rate=1e6, mobility=RandomWalk(q=0.005),
         arrival_pmf=((2, 0.002),), conservation_check_every=1)
-    chunk_starts, from_earlier = [], []
-    carry, fill = geometry.Fleet._carry, geometry.Fleet._fill_walk
+    from_earlier = []
+    dpow, fill = geometry.Fleet.dpow, geometry.Fleet._fill_walk
+    spans = []
 
-    def carry_spy(fleet, moved, f0):
-        chunk_starts.append(f0)
-        carry(fleet, moved, f0)
+    def dpow_spy(fleet, f0, n):
+        spans.append((fleet._end, f0))  # the unread frames walked before the block
+        return dpow(fleet, f0, n)
 
-    def fill_spy(fleet, f0):
-        held = fleet._pend[0]
-        from_earlier.append(bool(chunk_starts and ((0 <= held) & (held < chunk_starts[-1])).any()))
-        return fill(fleet, f0)
+    def fill_spy(fleet, f0, s):
+        walked, start = spans[-1]
+        if start > walked:
+            last_chunk = walked + (start - 1 - walked) // fleet._chunk * fleet._chunk
+            held = fleet._pend[0]
+            from_earlier.append(bool(((0 <= held) & (held < last_chunk)).any()))
+        return fill(fleet, f0, s)
 
-    with mock.patch.object(geometry.Fleet, "_carry", carry_spy), \
+    with mock.patch.object(geometry.Fleet, "dpow", dpow_spy), \
             mock.patch.object(geometry.Fleet, "_fill_walk", fill_spy):
         chunked = _run_with_block(cfg, 7)
-    assert sum(from_earlier) > 10  # of 69 fills
+    assert sum(from_earlier) > 10  # of 42 fills after unread frames
     assert chunked.conservation_ok and chunked.delivered > 50
     assert chunked.idle_frames > cfg.horizon // 2
     _assert_same_run(_run_with_block(cfg, 1), chunked)

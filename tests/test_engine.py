@@ -28,7 +28,7 @@ from relaysim.engine import (
 )
 from relaysim.geometry import Fleet, RandomWalk, RandomWaypoint, build_disk, region_box, walk_next
 from relaysim.protocols import PROTOCOL_NAMES, ROLE_BROADCAST, FrameOutcome, Obdwf
-from relaysim.rng import STREAM_PLACE, CounterRng
+from relaysim.rng import STREAM_PLACE, STREAM_WALK, CounterRng, _unit, counter_threshold
 
 
 def small_cfg(**kw):
@@ -320,7 +320,11 @@ def test_validate_config_errors_and_warnings():
     dict(resample_within_region=True, pinned_positions=((2.5, 0.0),) * 30),
     # pinned relays never move, so a waypoint model would be dropped
     dict(pinned_positions=((2.5, 0.0),) * 30, mobility=RandomWaypoint(speed_max=0.3)),
-], ids=["resample-waypoint", "resample-pinned", "pinned-waypoint"])
+    # nor would a strip walk other than the default one
+    dict(pinned_positions=((2.5, 0.0),) * 30, mobility=RandomWalk(q=0.5)),
+    dict(pinned_positions=((2.5, 0.0),) * 30, mobility=RandomWalk(q=0.0)),
+], ids=["resample-waypoint", "resample-pinned", "pinned-waypoint", "pinned-walk-q0.5",
+        "pinned-walk-q0"])
 def test_validate_config_rejects_ignored_mobility_settings(ignored):
     with pytest.raises(ValueError):
         validate_config(small_cfg(**ignored))
@@ -432,31 +436,52 @@ def test_place_matches_scalar_rejection(batch, num_regions, monkeypatch):
     assert np.array_equal(np.column_stack((x, y)), want)
 
 
+def _walk_fleet(K, num_regions, q, seed=2, budget=1 << 20):
+    cfg = SimConfig(K=K, num_regions=num_regions, mobility=RandomWalk(q=q), seed=seed)
+    return Fleet(build_disk(cfg.radius, num_regions), cfg.K, cfg.alpha, cfg.mobility, None,
+                 False, CounterRng(cfg.seed), budget)
+
+
+def _filled_states(monkeypatch):
+    """The walk states of each block that a fleet fills, row 0 the frame before it."""
+    filled = []
+    fill = Fleet._fill_walk
+
+    def spy(fleet, f0, s):
+        filled.append(s.copy())
+        return fill(fleet, f0, s)
+
+    monkeypatch.setattr(Fleet, "_fill_walk", spy)
+    return filled
+
+
 @pytest.mark.parametrize("q", [0.0, 0.02, 0.2, 0.5])
 @pytest.mark.parametrize("num_regions", [1, 2, 5, 6, 12])
 def test_table_walk_matches_walk_next(num_regions, q, monkeypatch):
     # The table walk steps _WALK_GROUP frames per lookup. Walk spans of every
     # length up to three groups and one, most not a multiple of the group,
-    # against one walk_next call per frame; a third of the uniforms sit
-    # exactly at q and another third at 1-q, where the step changes. Each
-    # span is walked once as a block that dpow returns and once as unread
-    # frames that a one-frame dpow call walks past.
+    # against one walk_next call per frame; a third of the counters sit
+    # exactly at the threshold of [u >= q] and another third at that of
+    # [u >= 1-q], where the step changes. Each span is walked once as a block
+    # that dpow returns and once as unread frames that a one-frame dpow call
+    # walks past.
     drawn = []
     draw = np.random.default_rng(num_regions)
+    edges = np.array([counter_threshold(q), counter_threshold(1.0 - q)], dtype=np.uint64)
 
-    def block_uniforms(self, stream, frame0, n_frames, n):
-        u = draw.random((n_frames, n))
-        at = draw.integers(0, 3, u.shape)
-        u = np.where(at == 0, q, np.where(at == 1, 1.0 - q, u))
-        drawn.append(u)
-        return u.copy()
+    def block_counters(self, stream, frame0, n_frames, n, out=None, scratch=None):
+        z = draw.integers(0, 2**64, (n_frames, n), dtype=np.uint64, endpoint=False)
+        at = draw.integers(0, 3, z.shape)
+        z = np.where(at < 2, edges[np.minimum(at, 1)], z)
+        drawn.append(z)
+        out[:] = z
+        return out
 
-    monkeypatch.setattr(CounterRng, "block_uniforms", block_uniforms)
-    cfg = SimConfig(K=9, num_regions=num_regions, mobility=RandomWalk(q=q), seed=2)
-    fleet = Fleet(build_disk(cfg.radius, num_regions), cfg.K, cfg.alpha, cfg.mobility, None,
-                  False, CounterRng(cfg.seed), 1 << 20)
+    monkeypatch.setattr(CounterRng, "block_counters", block_counters)
+    filled = _filled_states(monkeypatch)
+    fleet = _walk_fleet(9, num_regions, q)
     S = 3**geometry._WALK_GROUP  # the walk state is S * strip
-    strips = fleet._s[-1] // S
+    strips = fleet._state // S
     assert 1 <= strips.min() and strips.max() <= num_regions
     f = 0
     for n in range(1, 3 * geometry._WALK_GROUP + 2):
@@ -467,14 +492,54 @@ def test_table_walk_matches_walk_next(num_regions, q, monkeypatch):
             else:
                 fleet.dpow(f, n)
             want = []
-            for u in np.concatenate(drawn):
-                strips = walk_next(strips, u, q, num_regions)
+            for z in np.concatenate(drawn):
+                strips = walk_next(strips, _unit(z.copy()), q, num_regions)
                 want.append(strips)
             assert len(want) == n + skipped
-            # a block keeps every frame; skipped frames only their last, in row 0
-            got = fleet._s if skipped else fleet._s[1:]
+            # a block holds every frame; skipped frames give only their last
+            # state, in row 0 of the one-frame block after them
+            s = filled[-1]
+            got = s if skipped else s[1:]
             assert np.array_equal(got // S, want[-len(got):]), (skipped, n)
             f += n + skipped
+
+
+def _changes(strips):
+    """Per frame (rows) of a strip history: each relay's change, mover rank and mover count."""
+    moved = strips[1:] != strips[:-1]
+    rank = np.cumsum(moved, axis=1) - 1
+    return moved, rank, moved.sum(axis=1)
+
+
+@pytest.mark.parametrize("q", [0.001, 0.02, 0.2])
+def test_unread_spans_carry_each_relays_last_change(q):
+    # Spans of unread frames are walked in 37-frame chunks; only the frames
+    # of each relay's last change are expanded. At q = 0.001 most relays keep
+    # their strip for thousands of frames, so their last change, if any, lies
+    # many chunks before the span's end. Every span's carried (frame, mover
+    # rank, mover count) must match a walk_next reference stepped frame by frame.
+    K, M = 8, 5
+    fleet = _walk_fleet(K, M, q, seed=7, budget=37 * K * geometry._WALK_CELL_BYTES)
+    assert fleet._chunk == 37
+    rng = CounterRng(7)
+    S = 3**geometry._WALK_GROUP
+    history = [fleet._state // S]
+    pend = np.full((3, K), -1)
+    f = 0
+    for span in (1, 36, 37, 38, 500, 4_000, 1, 20_000):
+        fleet._skip_walk(f, f + span)
+        for g in range(f, f + span):
+            history.append(walk_next(history[-1], rng.uniforms(STREAM_WALK, g, K), q, M))
+        moved, rank, count = _changes(np.array(history[-span - 1:]))
+        for j in np.flatnonzero(moved.any(axis=0)):
+            r = np.flatnonzero(moved[:, j])[-1]
+            pend[:, j] = (f + r, rank[r, j], count[r])
+        f += span
+        assert np.array_equal(fleet._state // S, history[-1])
+        assert np.array_equal(fleet._pend, pend), (q, span)
+    if q == 0.001:
+        # some relay carries a change from before the last span's last chunk
+        assert ((0 <= pend[0]) & (pend[0] < f - 37)).any()
 
 
 class _LosesFirstPacket(Obdwf):

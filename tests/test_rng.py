@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from relaysim.rng import (
@@ -12,6 +14,8 @@ from relaysim.rng import (
     STREAM_WALK,
     CounterRng,
     FrameStream,
+    _unit,
+    counter_threshold,
     keyed_uniforms,
 )
 
@@ -163,3 +167,33 @@ def test_draws_leave_their_inputs_unchanged():
     assert np.array_equal(rng.uniforms(STREAM_WALK, 4, 6), rng.uniforms(STREAM_WALK, 4, 6))
     assert np.array_equal(rng.block_uniforms(STREAM_WALK, 3, 4, 6), block)
     assert np.array_equal(block[1], rng.uniforms(STREAM_WALK, 4, 6))
+
+
+def _codes_agree(q, zs):
+    """The walk's integer codes equal its float codes [u >= q] + [u >= 1-q] at
+    each threshold, one either side of it, and at zs."""
+    lo, hi = counter_threshold(q), counter_threshold(1.0 - q)
+    edges = [int(t) + d for t in (lo, hi) for d in (-1, 0, 1)]
+    z = np.array([v for v in edges if 0 <= v < 2**64] + list(zs), dtype=np.uint64)
+    u = _unit(z.copy())
+    return np.array_equal((z >= lo).astype(int) + (z >= hi), (u >= q).astype(int) + (u >= 1.0 - q))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.02, 0.2, 0.5])
+def test_counter_codes_match_uniform_codes(q):
+    zs = np.random.default_rng(1).integers(0, 2**64, 10_000, dtype=np.uint64)
+    assert _codes_agree(q, zs)
+
+
+@given(st.floats(0.0, 0.5), st.lists(st.integers(0, 2**64 - 1), max_size=50))
+def test_counter_codes_match_uniform_codes_at_any_q(q, zs):
+    assert _codes_agree(q, zs)
+
+
+def test_block_counters_are_block_uniforms_before_conversion():
+    rng = CounterRng(5)
+    out, scratch = np.empty((6, 9), np.uint64), np.empty((6, 9), np.uint64)
+    z = rng.block_counters(STREAM_WALK, 2**40 + 3, 6, 9, out, scratch)
+    assert z is out
+    assert np.array_equal(_unit(z.copy()), rng.block_uniforms(STREAM_WALK, 2**40 + 3, 6, 9))
+    assert np.array_equal(rng.block_counters(STREAM_WALK, 2**40 + 3, 6, 9), z)
