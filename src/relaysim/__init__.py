@@ -45,14 +45,12 @@ from .engine import (
     SimConfig,
     StabilityVerdict,
     SWEEP_AXES,
-    SweepRow,
     aggregate_metric,
     apply_axis,
     assess_stability,
     max_stable_rate,
     replicate,
     run,
-    sweep,
     validate_config,
 )
 from .geometry import DiskGeometry, RandomWalk, RandomWaypoint, build_disk, region_of
@@ -82,8 +80,8 @@ __all__ = [
     "PRESET_NAMES", "ConfigError", "ExperimentSpec",
     "apply_overrides", "load_config_file", "load_preset", "parse_values",
     "ConservationFailure", "RateBracket", "RunMetrics", "SimConfig", "StabilityVerdict",
-    "SWEEP_AXES", "SweepRow", "aggregate_metric", "apply_axis",
-    "assess_stability", "max_stable_rate", "replicate", "run", "sweep",
+    "SWEEP_AXES", "aggregate_metric", "apply_axis",
+    "assess_stability", "max_stable_rate", "replicate", "run",
     "validate_config",
     "DiskGeometry", "RandomWalk", "RandomWaypoint", "build_disk", "region_of",
     "PROTOCOL_NAMES", "ROLE_BROADCAST", "ROLE_FORWARD", "ROLE_IDLE",

@@ -3,6 +3,12 @@
 Outputs are CSV (UTF-8, LF, 15 significant digits) plus a human summary on
 stdout; sweeps also emit a self-contained gnuplot companion script. Exit
 codes: 0 success, 1 validation-suite failure, 2 usage/config error.
+
+A sweep or stability plan is a list of (protocol, value, config) points.
+Each plan runs as one task list through engine.pool_map, over one process
+pool at --jobs > 1: a sweep task is one replicate of one point, a stability
+task one point's bracket. Results come back in plan order, so every output
+byte is the same at any --jobs.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from . import validation
 from .config import (
+    _KEYS,
     PRESET_NAMES,
     ConfigError,
     ExperimentSpec,
@@ -31,14 +39,19 @@ from .engine import (
     apply_axis,
     aggregate_metric,
     max_stable_rate,
+    pool_map,
     replicate,
-    sweep,
+    run,
     validate_config,
 )
 
 __all__ = ["main", "build_parser"]
 
 _FRAME_METRICS = ("mean_delay", "delay_p50", "delay_p95", "delay_p99")
+_SWEEP_METRICS = ("throughput", "mean_delay", "delay_p95", "delivery_rate", "delivered")
+# every stability probe sets these itself (engine.max_stable_rate)
+_PROBE_KEYS = ("sim.horizon", "sim.warmup", "traffic.arrivals", "sim.infinite_backlog",
+               "sim.track_connectivity")
 
 
 def _fmt(x) -> str:
@@ -87,23 +100,40 @@ def _out_dir(spec: ExperimentSpec) -> Path:
     return d
 
 
+def _plan(spec: ExperimentSpec) -> list[tuple[str, object, SimConfig]]:
+    """(protocol, value, config) points, protocol-major; value is None without an axis."""
+    points = []
+    for proto in spec.protocols or (spec.sim.protocol,):
+        base = replace(spec.sim, protocol=proto)
+        for v in spec.values if spec.axis else (None,):
+            points.append((proto, v, apply_axis(base, spec.axis, v) if spec.axis else base))
+    return points
+
+
 def _sweep_rows(spec: ExperimentSpec) -> list[list]:
-    """ResultTable rows across the protocol list and the swept axis."""
+    """ResultTable rows across the protocol list and the swept axis.
+
+    Every replicate of every point is one task; each point's replicates
+    (seeds seed .. seed+reps-1) are aggregated as soon as they are back."""
     if not spec.axis or not spec.values:
         raise ConfigError("sweep needs experiment.axis and experiment.values")
-    protocols = spec.protocols or (spec.sim.protocol,)
+    if spec.reps < 1:
+        raise ConfigError(f"sweep needs reps >= 1, got {spec.reps}")
+    plan = _plan(spec)
+    seeds = range(spec.sim.seed, spec.sim.seed + spec.reps)
+    runs = pool_map(run, [replace(cfg, seed=s) for _, _, cfg in plan for s in seeds], spec.jobs)
     tau = spec.sim.tau
     table: list[list] = []
-    for proto in protocols:
-        base = replace(spec.sim, protocol=proto)
-        rows = sweep(base, spec.axis, spec.values, n_reps=spec.reps, jobs=spec.jobs)
-        for r in rows:
-            table.append([spec.axis, r.value, r.protocol, r.metric,
-                          r.mean, r.ci_low, r.ci_high, r.n_reps, r.seed_base])
-            if r.metric in _FRAME_METRICS:
-                table.append([spec.axis, r.value, r.protocol, f"{r.metric}_seconds",
-                              r.mean * tau, r.ci_low * tau, r.ci_high * tau,
-                              r.n_reps, r.seed_base])
+    for _, v, cfg in plan:
+        point_runs = list(islice(runs, spec.reps))
+        for name in _SWEEP_METRICS:
+            mean, lo, hi = aggregate_metric(point_runs, name)
+            if math.isnan(mean):
+                continue
+            table.append([spec.axis, v, cfg.protocol, name, mean, lo, hi, spec.reps, cfg.seed])
+            if name in _FRAME_METRICS:
+                table.append([spec.axis, v, cfg.protocol, f"{name}_seconds",
+                              mean * tau, lo * tau, hi * tau, spec.reps, cfg.seed])
     return table
 
 
@@ -212,33 +242,24 @@ def cmd_sweep(args) -> int:
     return _run_sweep(spec)
 
 
-def _brackets(spec: ExperimentSpec, cfgs: list[SimConfig]):
-    """max_stable_rate of each config, in order; over one process pool when jobs > 1."""
-    bracket = partial(max_stable_rate, lo=spec.lo, hi=spec.hi,
-                      resolution=spec.resolution, batch_size=spec.batch)
-    if spec.jobs > 1 and len(cfgs) > 1:
-        import multiprocessing  # deferred, like the pool: only pools need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(cfgs)),
-                                 mp_context=multiprocessing.get_context("spawn")) as ex:
-            yield from ex.map(bracket, cfgs)
-    else:
-        yield from map(bracket, cfgs)
-
-
 def _run_stability(spec: ExperimentSpec) -> int:
     if not 0.0 < spec.lo < spec.hi:
         raise ConfigError(f"stability bounds need 0 < lo < hi, got {spec.lo}, {spec.hi}")
-    protocols = spec.protocols or (spec.sim.protocol,)
-    values = spec.values if spec.axis else (None,)
-    plan = []
-    for proto in protocols:
-        base = replace(spec.sim, protocol=proto)
-        for v in values:
-            plan.append((proto, v, apply_axis(base, spec.axis, v) if spec.axis else base))
+    default = SimConfig()
+    for key in _PROBE_KEYS:
+        field = _KEYS[tuple(key.split("."))][0]
+        if getattr(spec.sim, field) != getattr(default, field):
+            raise ConfigError(f"{key} is set by every stability probe; "
+                              "a stability plan cannot change it")
+    if spec.axis == "lambda":
+        raise ConfigError("experiment.axis=lambda sweeps traffic.arrivals, "
+                          "which every stability probe sets")
+    bracket = partial(max_stable_rate, lo=spec.lo, hi=spec.hi,
+                      resolution=spec.resolution, batch_size=spec.batch)
+    plan = _plan(spec)
     rows = []
-    for (proto, v, cfg), br in zip(plan, _brackets(spec, [cfg for _, _, cfg in plan])):
+    brackets = pool_map(bracket, [cfg for _, _, cfg in plan], spec.jobs)
+    for (proto, v, cfg), br in zip(plan, brackets):
         rows.append([spec.axis or "", v, proto, br.stable_rate, br.unstable_rate,
                      br.midpoint, br.resolution, len(br.probes), cfg.seed])
         tag = f" {spec.axis}={v}" if spec.axis else ""
@@ -302,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="packaged experiment preset")
         sp.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
         sp.add_argument("--jobs", type=int,
-                        help="worker processes for replicates or stability brackets")
+                        help="worker processes for the tasks of a plan (one process pool)")
         sp.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override one config key (repeatable)")
         if with_out:

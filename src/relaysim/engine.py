@@ -23,6 +23,10 @@ takes them with the block's fading. Runs that read every frame (connectivity
 tracking, the trace) skip nothing. Packet conservation is checked every
 conservation_check_every frames; the first failing check is kept in
 RunMetrics.conservation_failure with its balance terms.
+
+pool_map runs a list of tasks (runs, replicates, stability brackets) in
+order, in this process or over one spawn-context process pool; replicate and
+every CLI plan run through it.
 """
 
 from __future__ import annotations
@@ -64,10 +68,9 @@ __all__ = [
     "assess_stability",
     "max_stable_rate",
     "replicate",
+    "pool_map",
     "aggregate_metric",
-    "sweep",
     "apply_axis",
-    "SweepRow",
     "effective_rate",
     "effective_packet_bits",
     "validate_config",
@@ -327,10 +330,6 @@ class RunMetrics:
             return None
         return self.dst_conn_frames / self.measured_frames
 
-    def metric(self, name: str):
-        """Scalar metric lookup for aggregation: field or derived property."""
-        return getattr(self, name)
-
 
 def _conservation_failure(
     frame: int, proto, source, relays: RelayBank, delivered: int, arrivals: int
@@ -559,11 +558,25 @@ def run(cfg: SimConfig) -> RunMetrics:
     )
 
 
-# ---------- replication, bisection, sweeps ----------
+# ---------- replication, bisection, plans ----------
 
 
-def _run_worker(cfg: SimConfig) -> RunMetrics:
-    return run(cfg)
+def pool_map(fn, items, jobs: int = 1):
+    """Yield fn(item) for each item, in order.
+
+    At jobs <= 1, or with fewer than two items, fn runs in this process.
+    Otherwise the items run over one spawn-context process pool of up to jobs
+    workers, imported only here, so fn and the items must pickle."""
+    items = list(items)
+    if jobs <= 1 or len(items) < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing  # deferred, like the pool: only pools need it
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             mp_context=multiprocessing.get_context("spawn")) as ex:
+        yield from ex.map(fn, items)
 
 
 def replicate(
@@ -576,18 +589,12 @@ def replicate(
         seeds = [cfg.seed + i for i in range(n_reps)]
     elif len(seeds) != n_reps:
         raise ValueError("seeds must match n_reps")
-    cfgs = [replace(cfg, seed=s) for s in seeds]
-    if jobs > 1 and n_reps > 1:
-        from concurrent.futures import ProcessPoolExecutor  # deferred: only pools need it
-
-        with ProcessPoolExecutor(max_workers=min(jobs, n_reps)) as ex:
-            return list(ex.map(_run_worker, cfgs))
-    return [run(c) for c in cfgs]
+    return list(pool_map(run, [replace(cfg, seed=s) for s in seeds], jobs))
 
 
 def aggregate_metric(runs: list[RunMetrics], name: str) -> tuple[float, float, float]:
     """(mean, ci_low, ci_high) of a scalar metric; CI bounds are NaN for n=1."""
-    vals = [r.metric(name) for r in runs]
+    vals = [getattr(r, name) for r in runs]
     vals = [v for v in vals if v is not None]
     if not vals:
         return math.nan, math.nan, math.nan
@@ -701,40 +708,3 @@ def apply_axis(cfg: SimConfig, axis: str, value) -> SimConfig:
     if axis == "protocol":
         return replace(cfg, protocol=str(value))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    axis: str
-    value: object
-    protocol: str
-    metric: str
-    mean: float
-    ci_low: float
-    ci_high: float
-    n_reps: int
-    seed_base: int
-
-
-_DEFAULT_SWEEP_METRICS = ("throughput", "mean_delay", "delay_p95", "delivery_rate", "delivered")
-
-
-def sweep(
-    cfg: SimConfig,
-    axis: str,
-    values,
-    n_reps: int = 1,
-    jobs: int = 1,
-    metrics: tuple[str, ...] = _DEFAULT_SWEEP_METRICS,
-) -> list[SweepRow]:
-    """Replicate along one axis; one row per (value, metric)."""
-    rows: list[SweepRow] = []
-    for v in values:
-        sub = apply_axis(cfg, axis, v)
-        runs = replicate(sub, n_reps, jobs=jobs)
-        for name in metrics:
-            mean, lo, hi = aggregate_metric(runs, name)
-            if math.isnan(mean):
-                continue
-            rows.append(SweepRow(axis, v, sub.protocol, name, mean, lo, hi, n_reps, cfg.seed))
-    return rows

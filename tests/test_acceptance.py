@@ -18,6 +18,7 @@ from relaysim.engine import (
     assess_stability,
     effective_rate,
     max_stable_rate,
+    pool_map,
     run,
 )
 from relaysim.geometry import RandomWalk
@@ -112,6 +113,11 @@ def test_criterion_4_mobility_insensitivity():
                     f"obdwf {ob_s:.1%} (< 10%), ddf {dd_s:.1%} (> 25%)")
 
 
+def _bracket(task):
+    cfg, lo, hi, resolution = task
+    return max_stable_rate(cfg, lo=lo, hi=hi, resolution=resolution)
+
+
 def test_criterion_5_protocol_ordering():
     # throughput and max stable rate: the buffered protocol must beat the
     # two-phase baseline and both analog-forwarding variants at every K.
@@ -119,20 +125,18 @@ def test_criterion_5_protocol_ordering():
     # must exceed a rate proven unstable for each baseline.
     ks = (60, 110, 160)
     rivals = ("ddf", "af", "afsc")
+    # (protocol, lo, hi, resolution) of each bracket; the 12 brackets run over
+    # one two-worker process pool
+    ranges = (("obdwf", 0.2, 0.8, 0.6), ("ddf", 0.02, 0.2, 0.05),
+              ("af", 0.02, 0.15, 0.13), ("afsc", 0.02, 0.15, 0.13))
+    brackets = pool_map(_bracket, [(SimConfig(K=K, seed=17, protocol=p), lo, hi, res)
+                                   for K in ks for p, lo, hi, res in ranges], jobs=2)
     details = []
     ok = True
     for K in ks:
         tput = {p: acc_run(sat_cfg(p, K)).throughput for p in ("obdwf",) + rivals}
         t_ok = all(tput["obdwf"] > tput[p] for p in rivals)
-        base = SimConfig(K=K, seed=17)
-        ob = max_stable_rate(replace(base, protocol="obdwf"),
-                             lo=0.2, hi=0.8, resolution=0.6)
-        dd = max_stable_rate(replace(base, protocol="ddf"),
-                             lo=0.02, hi=0.2, resolution=0.05)
-        af = max_stable_rate(replace(base, protocol="af"),
-                             lo=0.02, hi=0.15, resolution=0.13)
-        asc = max_stable_rate(replace(base, protocol="afsc"),
-                              lo=0.02, hi=0.15, resolution=0.13)
+        ob, dd, af, asc = (next(brackets) for _ in ranges)
         lam_ok = all(
             b.unstable_rate is not None and ob.stable_rate > b.unstable_rate
             for b in (dd, af, asc)

@@ -23,7 +23,7 @@ def test_exported_names_resolve(name):
 
 
 def test_import_leaves_process_pools_out():
-    # only replicate() and the CLI's brackets start pools, and they import them
+    # only engine.pool_map starts a process pool, and it imports the pool when it does
     src = str(Path(relaysim.__file__).resolve().parents[1])
     code = "import sys, relaysim; print('multiprocessing' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

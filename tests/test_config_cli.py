@@ -1,5 +1,6 @@
 """INI config parsing, presets, overrides, and the command-line interface."""
 
+import concurrent.futures
 import csv
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from relaysim import validation
+from relaysim import engine, validation
 from relaysim.channel import GainTable, Rayleigh
 from relaysim.cli import main
 from relaysim.config import (
@@ -22,7 +23,7 @@ from relaysim.config import (
     load_preset,
     parse_values,
 )
-from relaysim.engine import SimConfig
+from relaysim.engine import SimConfig, aggregate_metric, replicate
 from relaysim.geometry import RandomWalk, RandomWaypoint
 from relaysim.protocols import PROTOCOL_NAMES
 from relaysim.validation import CheckResult
@@ -469,6 +470,73 @@ def test_cli_stability_jobs_keep_plan_order_and_bytes(tmp_path, capsys):
     rows = read_csv(tmp_path / "2" / "experiment_stability.csv")
     assert [r[2] for r in rows[1:]] == ["ddf", "dfsc"]
     assert all(r[3] == "0" and r[4] == "0.5" and r[7] == "1" for r in rows[1:])
+
+
+def test_cli_sweep_protocol_axis_rows(tmp_path):
+    rc = main([
+        "sweep", "--axis", "protocol", "--values", "obdwf,ddf", "--reps", "2",
+        "--seed", "5", "--out", str(tmp_path),
+        "--set", "sim.relays=30", "--set", "sim.horizon=3000",
+        "--set", "sim.infinite_backlog=yes", "--set", "traffic.arrivals=none",
+    ])
+    assert rc == 0
+    rows = read_csv(tmp_path / "experiment.csv")[1:]
+    assert {r[1] for r in rows} == {"obdwf", "ddf"}
+    for r in rows:
+        assert r[0] == "protocol"
+        assert r[2] == r[1]  # the protocol column comes from the applied config
+        assert r[7] == "2" and r[8] == "5"
+        assert r[4] != "nan"
+        assert not r[3].startswith("mean_delay")  # None under backlog, so skipped
+    # replicates run on seeds seed .. seed+reps-1
+    runs = replicate(SimConfig(K=30, horizon=3000, infinite_backlog=True, arrival_pmf=None,
+                               protocol="ddf", seed=5), 2)
+    tput = [r for r in rows if r[1] == "ddf" and r[3] == "throughput"]
+    assert [r[4] for r in tput] == [f"{aggregate_metric(runs, 'throughput')[0]:.15g}"]
+
+
+def test_cli_sweep_jobs_run_one_pool_and_keep_bytes(tmp_path, capsys, monkeypatch):
+    starts = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    plan = ["sweep", "--axis", "K", "--values", "8,12", "--reps", "1", "--seed", "3",
+            "--set", "experiment.protocols=obdwf,ddf", "--set", "sim.horizon=1500",
+            "--set", "sim.infinite_backlog=yes", "--set", "traffic.arrivals=none"]
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(plan + ["--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append(([(out / name).read_bytes()
+                         for name in ("experiment.csv", "experiment.gnuplot")],
+                        capsys.readouterr().out.replace(str(out), "OUT")))
+        # --jobs 1 runs in this process; --jobs 2 runs all four tasks over one pool
+        assert starts == ([] if jobs == "1" else [2])
+    assert outputs[0] == outputs[1]
+    rows = read_csv(tmp_path / "2" / "experiment.csv")
+    assert [(r[1], r[2]) for r in rows[1:] if r[3] == "throughput"] == [
+        ("8", "obdwf"), ("12", "obdwf"), ("8", "ddf"), ("12", "ddf")]
+
+
+@pytest.mark.parametrize("settings", [
+    ["sim.horizon=5000"], ["sim.warmup=100"], ["traffic.arrivals=1:0.1,0:0.9"],
+    ["sim.infinite_backlog=yes"], ["sim.track_connectivity=yes"],
+    ["experiment.axis=lambda", "experiment.values=0.1,0.3"],
+], ids=lambda settings: settings[0].partition("=")[0])
+def test_cli_stability_rejects_settings_its_probes_override(tmp_path, capsys, monkeypatch,
+                                                           settings):
+    def probe(cfg):  # a probe must not start; if one does, stop it here
+        raise AssertionError(f"probe ran: horizon {cfg.horizon}, warmup {cfg.warmup}, "
+                             f"track_connectivity {cfg.track_connectivity}")
+
+    monkeypatch.setattr(engine, "run", probe)
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    assert main(["stability", *sets, "--out", str(tmp_path)]) == 2
+    assert settings[0].partition("=")[0] in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_stats_unloaded():

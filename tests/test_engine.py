@@ -23,7 +23,6 @@ from relaysim.engine import (
     max_stable_rate,
     replicate,
     run,
-    sweep,
     validate_config,
 )
 from relaysim.geometry import Fleet, RandomWalk, RandomWaypoint, build_disk, region_box, walk_next
@@ -195,21 +194,6 @@ def test_apply_axis():
     with pytest.raises(ValueError):
         apply_axis(cfg, "nope", 1)
     assert set(SWEEP_AXES) == {"K", "q", "lambda", "gamma", "M", "protocol"}
-
-
-def test_sweep_rows():
-    cfg = small_cfg(horizon=3_000, infinite_backlog=True, arrival_pmf=None)
-    rows = sweep(cfg, "protocol", ("obdwf", "ddf"), n_reps=2)
-    assert rows
-    protos = {r.value for r in rows}
-    assert protos == {"obdwf", "ddf"}
-    for r in rows:
-        assert r.axis == "protocol"
-        assert r.protocol == r.value
-        assert r.n_reps == 2
-        assert r.seed_base == cfg.seed
-        assert not math.isnan(r.mean)
-        assert r.metric != "mean_delay"  # None under backlog, so skipped
 
 
 def test_assess_stability_flat_and_growing():
